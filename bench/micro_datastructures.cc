@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -60,80 +59,6 @@ void BM_BloomTestAndSet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BloomTestAndSet);
-
-// --- SIMD batch kernels (common/simd.h dispatch) vs their scalar twins ---
-//
-// The burst pipeline feeds whole Get-runs through UpdateBatch /
-// TestAndSetBatch / the grouped table probe; these benches measure the batch
-// kernels in isolation at the native dispatch level and forced-scalar
-// (ScopedScalarSimd), over the per-arg batch size. The harness trial groups
-// below gate the same kernels in CI with bit-equivalence NC_CHECKs.
-
-void BM_CountMinUpdateBatch(benchmark::State& state) {
-  size_t batch = static_cast<size_t>(state.range(0));
-  CountMinSketch cms(4, 64 * 1024, 1);
-  Rng rng(1);
-  std::vector<KeyDigest> digests(batch);
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 20)));
-    }
-    cms.UpdateBatch(digests.data(), batch, nullptr);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_CountMinUpdateBatch)->Arg(8)->Arg(32)->Arg(64);
-
-void BM_CountMinUpdateBatch_Scalar(benchmark::State& state) {
-  ScopedScalarSimd scalar;
-  size_t batch = static_cast<size_t>(state.range(0));
-  CountMinSketch cms(4, 64 * 1024, 1);
-  Rng rng(1);
-  std::vector<KeyDigest> digests(batch);
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 20)));
-    }
-    cms.UpdateBatch(digests.data(), batch, nullptr);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_CountMinUpdateBatch_Scalar)->Arg(32);
-
-void BM_BloomTestAndSetBatch(benchmark::State& state) {
-  size_t batch = static_cast<size_t>(state.range(0));
-  BloomFilter bf(3, 256 * 1024, 2);
-  Rng rng(2);
-  std::vector<KeyDigest> digests(batch);
-  bool already[64];  // max Arg below
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 20)));
-    }
-    bf.TestAndSetBatch(digests.data(), batch, already);
-    benchmark::DoNotOptimize(already);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_BloomTestAndSetBatch)->Arg(8)->Arg(32)->Arg(64);
-
-void BM_DigestBatch16(benchmark::State& state) {
-  Rng rng(3);
-  constexpr size_t kBatch = 64;
-  std::vector<uint8_t> key_bytes(kBatch * kKeySize);
-  for (uint8_t& b : key_bytes) {
-    b = static_cast<uint8_t>(rng.Next());
-  }
-  std::vector<uint64_t> h1(kBatch);
-  std::vector<uint64_t> h2(kBatch);
-  for (auto _ : state) {
-    simd::DigestBatch16(key_bytes.data(), kBatch, h1.data(), h2.data());
-    benchmark::DoNotOptimize(h1);
-    benchmark::DoNotOptimize(h2);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_DigestBatch16);
 
 // --- Sketch hashing: per-probe seeded hashes vs one digest + KM probes ---
 //
@@ -407,11 +332,11 @@ BENCHMARK(BM_RouteFlatTableFind);
 
 // --- Harness trials (machine-readable, gated by scripts/bench_regress.py) ---
 //
-// Two trial pairs feed the CI perf gate: SketchHash (one-hash digest vs
-// per-probe seeded hashing) and Burst (ProcessBurst vs per-packet
-// ProcessPacket on an identical switch + packet stream). Each records a
-// deterministic checksum/counter metric — byte-stable across machines — plus
-// wall_ms/events for the --perf one-sided comparison.
+// SketchHash (one-hash digest vs per-probe seeded hashing) and Burst/single
+// (the switch pipeline, ProcessPacket per packet, on a 70/30 hit/miss
+// stream) feed the CI perf gate. Each records a deterministic
+// checksum/counter metric — byte-stable across machines — plus wall_ms/events
+// for the --perf one-sided comparison.
 
 constexpr size_t kHashTrialKeys = 2'000'000;
 
@@ -476,9 +401,8 @@ std::unique_ptr<NetCacheSwitch> MakeTrialSwitch() {
   return sw;
 }
 
-// 70% hits / 30% misses, same stream for both variants so the recorded
-// counters must agree exactly (the burst-equivalence property, cross-checked
-// here on every CI run via the tight default metric tolerance).
+// 70% hits / 30% misses; the recorded counters are deterministic and gated
+// at the tight default metric tolerance.
 std::vector<Packet> TrialPackets() {
   Rng rng(32);
   std::vector<Packet> pkts;
@@ -490,12 +414,6 @@ std::vector<Packet> TrialPackets() {
   }
   return pkts;
 }
-
-class NullSink : public NetCacheSwitch::EmitSink {
- public:
-  void OnEmit(uint32_t, Packet*, bool) override { ++emits_; }
-  uint64_t emits_ = 0;
-};
 
 void RunBurstTrials(bench::BenchHarness& harness) {
   const std::vector<Packet> pkts = TrialPackets();
@@ -517,160 +435,23 @@ void RunBurstTrials(bench::BenchHarness& harness) {
     trial.Metric("packets", static_cast<double>(sw->counters().packets))
         .Metric("cache_hits", static_cast<double>(sw->counters().cache_hits));
   }
-  {
-    auto& trial = harness.AddTrial("Burst/burst32");
-    trial.Config("packets", static_cast<double>(kTrialPackets))
-        .Config("passes", static_cast<double>(kTrialPasses));
-    auto sw = MakeTrialSwitch();
-    std::vector<Packet> arena(kTrialBurst);
-    std::vector<BurstArrival> arrivals(kTrialBurst);
-    NullSink sink;
-    bench::TrialTimer timer(&trial);
-    for (size_t pass = 0; pass < kTrialPasses; ++pass) {
-      for (size_t base = 0; base < kTrialPackets; base += kTrialBurst) {
-        for (size_t i = 0; i < kTrialBurst; ++i) {
-          arena[i] = pkts[base + i];
-          arrivals[i] = BurstArrival{&arena[i], 32};
-        }
-        sw->ProcessBurst({arrivals.data(), kTrialBurst}, sink);
-      }
-    }
-    timer.SetEvents(kTrialPasses * kTrialPackets);
-    trial.Metric("packets", static_cast<double>(sw->counters().packets))
-        .Metric("cache_hits", static_cast<double>(sw->counters().cache_hits));
-  }
 }
 
-// --- SketchBatch / TableGroupProbe trials: the SIMD batch kernels at the
-// native dispatch level vs forced-scalar (ScopedScalarSimd). Both legs run
-// the identical workload and must produce the identical checksum — the
-// bit-equivalence contract of common/simd.h, NC_CHECKed on every run. The
-// wall_ms/events pair feeds the --perf gate; on hosts without AVX2 the
-// "simd" leg degenerates to a second scalar run (the checksum still pins
-// determinism) and the JSON's config.simd_level records that, so
-// bench_regress.py refuses cross-host apples-to-oranges comparisons.
-
-constexpr size_t kBatchTrialKeys = 1'000'000;
-constexpr size_t kBatchTrialBurst = 32;
-
-uint64_t RunSketchBatchPass(bench::TrialRecord& trial) {
-  CountMinSketch cms(4, 64 * 1024, 1);
-  BloomFilter bf(3, 256 * 1024, 2);
-  Rng rng(41);
-  std::vector<KeyDigest> digests(kBatchTrialBurst);
-  std::vector<uint32_t> est(kBatchTrialBurst);
-  bool already[kBatchTrialBurst];
-  uint64_t acc = 0;
-  bench::TrialTimer timer(&trial);
-  for (size_t base = 0; base < kBatchTrialKeys; base += kBatchTrialBurst) {
-    for (size_t i = 0; i < kBatchTrialBurst; ++i) {
-      digests[i] = KeyDigest::Of(Key::FromUint64(rng.NextBounded(1 << 16)));
-    }
-    cms.UpdateBatch(digests.data(), kBatchTrialBurst, est.data());
-    bf.TestAndSetBatch(digests.data(), kBatchTrialBurst, already);
-    for (size_t i = 0; i < kBatchTrialBurst; ++i) {
-      acc += est[i] + (already[i] ? 1 : 0);
-    }
-  }
-  timer.SetEvents(kBatchTrialKeys);
-  return acc;
-}
-
-void RunSketchBatchTrials(bench::BenchHarness& harness) {
-  uint64_t scalar_acc = 0;
-  uint64_t simd_acc = 0;
-  {
-    auto& trial = harness.AddTrial("SketchBatch/scalar");
-    trial.Config("keys", static_cast<double>(kBatchTrialKeys))
-        .Config("burst", static_cast<double>(kBatchTrialBurst));
-    ScopedScalarSimd scalar;
-    scalar_acc = RunSketchBatchPass(trial);
-    trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
-  }
-  {
-    auto& trial = harness.AddTrial("SketchBatch/simd");
-    trial.Config("keys", static_cast<double>(kBatchTrialKeys))
-        .Config("burst", static_cast<double>(kBatchTrialBurst));
-    simd_acc = RunSketchBatchPass(trial);
-    trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
-  }
-  NC_CHECK(scalar_acc == simd_acc);
-}
-
-// --- ServeStage / ServerBurst trials: the fig09 burst-serving kernels.
+// --- ServerBurst / TableGroupProbe trials: the SIMD kernels at the native
+// dispatch level vs forced-scalar (ScopedScalarSimd).
 //
-// ServeStage drives ValueStore::StageGather + simd::GatherValueSlots exactly
-// the way the switch's ProcessGetRun does — pointer pairs accumulated across
-// a 32-packet Get-run, one kernel call over the whole run — across the fig09
-// value-size sweep (32/64/96/128 B). ServerBurst drives the storage server's
-// ingress stages: simd::DigestGather16 over the burst's keys, digest-derived
-// core steering, the one-sweep bucket prefetch, then in-order KvStore::GetInto.
+// ServerBurst drives the storage server's ingress stages:
+// simd::DigestGather16 over the burst's keys, digest-derived core steering,
+// the one-sweep bucket prefetch, then in-order KvStore::GetInto.
+// TableGroupProbe drives the FlatTable's 16-way control-byte group scan.
 // Each group runs a forced-scalar leg and a native-dispatch leg over the
 // identical stream; the checksums must agree bit-for-bit (NC_CHECKed every
-// run), and wall_ms/events feed the --perf gate.
+// run) — the bit-equivalence contract of common/simd.h — and wall_ms/events
+// feed the --perf gate. On hosts without AVX2 the "simd" leg degenerates to
+// a second scalar run and the JSON's config.simd_level records that, so
+// bench_regress.py refuses cross-host comparisons.
 
-constexpr size_t kServeTrialIndexes = 8 * 1024;
-constexpr size_t kServeTrialReads = 1'000'000;
-constexpr size_t kServeTrialBurst = 32;
-
-uint64_t RunServeStagePass(bench::TrialRecord& trial) {
-  ValueStore vs(8, kServeTrialIndexes);
-  // fig09 size sweep: 2/4/6/8 units (32..128 B), contiguous bitmaps.
-  std::vector<uint32_t> bitmaps(kServeTrialIndexes);
-  std::vector<size_t> sizes(kServeTrialIndexes);
-  for (size_t i = 0; i < kServeTrialIndexes; ++i) {
-    size_t units = 2 * (1 + (i % 4));
-    sizes[i] = units * kValueUnitSize;
-    bitmaps[i] = (1u << units) - 1;
-    vs.WriteValue(bitmaps[i], i, Value::Filler(0xabc + i, sizes[i]));
-  }
-  Rng rng(51);
-  const uint8_t* srcs[kServeTrialBurst * 8];
-  uint8_t* dsts[kServeTrialBurst * 8];
-  Value out[kServeTrialBurst];
-  uint64_t acc = 0;
-  bench::TrialTimer timer(&trial);
-  for (size_t base = 0; base < kServeTrialReads; base += kServeTrialBurst) {
-    size_t cursor = 0;
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
-      size_t idx = rng.NextBounded(kServeTrialIndexes);
-      out[i].set_size(sizes[idx]);
-      cursor = vs.StageGather(bitmaps[idx], idx, sizes[idx], out[i].data(), srcs, dsts, cursor);
-    }
-    simd::GatherValueSlots(srcs, dsts, cursor);
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
-      const uint8_t* bytes = out[i].data();
-      for (size_t b = 0; b < out[i].size(); b += kValueUnitSize) {
-        acc += bytes[b];
-      }
-      acc += out[i].size();
-    }
-  }
-  timer.SetEvents(kServeTrialReads);
-  return acc;
-}
-
-void RunServeStageTrials(bench::BenchHarness& harness) {
-  uint64_t scalar_acc = 0;
-  uint64_t simd_acc = 0;
-  {
-    auto& trial = harness.AddTrial("ServeStage/scalar");
-    trial.Config("reads", static_cast<double>(kServeTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
-    ScopedScalarSimd scalar;
-    scalar_acc = RunServeStagePass(trial);
-    trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
-  }
-  {
-    auto& trial = harness.AddTrial("ServeStage/simd");
-    trial.Config("reads", static_cast<double>(kServeTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
-    simd_acc = RunServeStagePass(trial);
-    trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
-  }
-  NC_CHECK(scalar_acc == simd_acc);
-}
-
+constexpr size_t kServerTrialBurst = 32;
 constexpr size_t kServerTrialKeys = 64 * 1024;
 constexpr size_t kServerTrialReads = 1'000'000;
 constexpr size_t kServerTrialCores = 8;
@@ -682,25 +463,25 @@ uint64_t RunServerBurstPass(bench::TrialRecord& trial) {
     store.Put(Key::FromUint64(i), WorkloadGenerator::ValueFor(i, 128));
   }
   Rng rng(52);
-  Key keys[kServeTrialBurst];
-  const uint8_t* key_ptrs[kServeTrialBurst];
-  uint64_t h1[kServeTrialBurst];
-  uint64_t h2[kServeTrialBurst];
+  Key keys[kServerTrialBurst];
+  const uint8_t* key_ptrs[kServerTrialBurst];
+  uint64_t h1[kServerTrialBurst];
+  uint64_t h2[kServerTrialBurst];
   Value value;
   uint64_t acc = 0;
   bench::TrialTimer timer(&trial);
-  for (size_t base = 0; base < kServerTrialReads; base += kServeTrialBurst) {
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
+  for (size_t base = 0; base < kServerTrialReads; base += kServerTrialBurst) {
+    for (size_t i = 0; i < kServerTrialBurst; ++i) {
       keys[i] = Key::FromUint64(rng.NextBounded(kServerTrialKeys));
       key_ptrs[i] = keys[i].bytes.data();
     }
-    simd::DigestGather16(key_ptrs, kServeTrialBurst, h1, h2);
+    simd::DigestGather16(key_ptrs, kServerTrialBurst, h1, h2);
     // The one-sweep bucket warm, then in-order steering + lookups — the shape
     // of StorageServer::HandleBurst stages 1.5 and 2.
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
+    for (size_t i = 0; i < kServerTrialBurst; ++i) {
       store.Prefetch(h1[i]);
     }
-    for (size_t i = 0; i < kServeTrialBurst; ++i) {
+    for (size_t i = 0; i < kServerTrialBurst; ++i) {
       KeyDigest d{h1[i], h2[i]};
       acc += d.Probe(kServerTrialCoreSeed) % kServerTrialCores;
       bool hit = store.GetInto(keys[i], h1[i], &value);
@@ -718,7 +499,7 @@ void RunServerBurstTrials(bench::BenchHarness& harness) {
   {
     auto& trial = harness.AddTrial("ServerBurst/scalar");
     trial.Config("reads", static_cast<double>(kServerTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
+        .Config("burst", static_cast<double>(kServerTrialBurst));
     ScopedScalarSimd scalar;
     scalar_acc = RunServerBurstPass(trial);
     trial.Metric("checksum", static_cast<double>(scalar_acc & 0xffffffff));
@@ -726,7 +507,7 @@ void RunServerBurstTrials(bench::BenchHarness& harness) {
   {
     auto& trial = harness.AddTrial("ServerBurst/simd");
     trial.Config("reads", static_cast<double>(kServerTrialReads))
-        .Config("burst", static_cast<double>(kServeTrialBurst));
+        .Config("burst", static_cast<double>(kServerTrialBurst));
     simd_acc = RunServerBurstPass(trial);
     trial.Metric("checksum", static_cast<double>(simd_acc & 0xffffffff));
   }
@@ -884,8 +665,6 @@ int main(int argc, char** argv) {
   netcache::bench::BenchHarness harness(argc, argv, "micro_datastructures");
   netcache::RunSketchHashTrials(harness);
   netcache::RunBurstTrials(harness);
-  netcache::RunSketchBatchTrials(harness);
-  netcache::RunServeStageTrials(harness);
   netcache::RunServerBurstTrials(harness);
   netcache::RunTableGroupProbeTrials(harness);
   netcache::RunParallelDesTrials(harness);

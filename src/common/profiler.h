@@ -8,7 +8,7 @@
 // cannot say where the worker nanoseconds go. The profiler attributes every
 // span to one of a fixed set of categories — per-LP window execution, barrier
 // waits, cross-partition merges, global-stream serial fences, and the switch
-// pipeline's burst stages — so the scheduler work the ROADMAP points at can
+// Get pipeline's stages — so the scheduler work the ROADMAP points at can
 // start from a quantified baseline (docs/PERFORMANCE.md, "Where the
 // wall-clock goes").
 //
@@ -60,9 +60,9 @@ enum class ProfCat : uint8_t {
   kMerge = 2,        // an LP draining last round's inbound cross-LP mail
   kSerialFence = 3,  // global-stream serial instant (whole sim serialized)
   kCoordinate = 4,   // round boundary: channel clocks, horizons, participants
-  kSwitchDigest = 5,      // burst stage 1: key digest + match prefetch
-  kSwitchMatchPeek = 6,   // burst stage 2: match/peek + stats/value prefetch
-  kSwitchValueServe = 7,  // burst stage 3: stats + value read + emit
+  kSwitchDigest = 5,      // switch Get stage 1: ingress key digest
+  kSwitchMatchPeek = 6,   // switch Get stage 2: cache lookup match + status
+  kSwitchValueServe = 7,  // switch Get stage 3: stats + value read + emit
   kServerLookup = 8,      // server service: store lookup under the store mutex
   kServerReply = 9,       // server service: in-place reply rewrite + send
   kEgressFlush = 10,      // link: transmit-group close + delivery scheduling
@@ -78,7 +78,7 @@ const char* ProfCatName(ProfCat cat);
 struct ProfSpanRecord {
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
-  uint64_t arg = 0;  // events dispatched / packets in burst
+  uint64_t arg = 0;  // events dispatched / packets
   uint32_t lp = 0;   // LP id for DES spans, 0 for global/switch spans
   uint32_t cat = 0;  // ProfCat
 };
@@ -251,7 +251,7 @@ class ProfScope {
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
-  // Sets the span's count tag (events dispatched / packets in the burst).
+  // Sets the span's count tag (events dispatched / packets).
   void set_arg(uint64_t arg) {
 #ifdef NETCACHE_DISABLE_PROFILING
     (void)arg;

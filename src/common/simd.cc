@@ -20,12 +20,7 @@ namespace netcache {
 #if NETCACHE_HAVE_AVX2
 namespace simd_avx2 {
 // Implemented in simd_avx2.cc.
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2);
 void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2);
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx);
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out);
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n);
 }  // namespace simd_avx2
 #endif
 
@@ -75,18 +70,10 @@ namespace {
 
 // The scalar reference kernels. These ARE the semantics: the AVX2 bodies in
 // simd_avx2.cc emulate exactly this arithmetic mod 2^64 and the equivalence
-// suites (sketch_test, flat_table_test, digest lanes in simd_test) hold the
-// two to bit-identity.
+// suites (sketch_test's digest lanes, flat_table_test) hold the two to
+// bit-identity.
 
 constexpr uint64_t kDigestSalt = 0x9e3779b97f4a7c15ull;
-
-void DigestBatch16Scalar(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t fnv = HashBytesUnmixed(keys + i * 16, 16);
-    h1[i] = Mix64(fnv);
-    h2[i] = Mix64(fnv ^ kDigestSalt) | 1;
-  }
-}
 
 void DigestGather16Scalar(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
   for (size_t i = 0; i < n; ++i) {
@@ -96,37 +83,7 @@ void DigestGather16Scalar(const uint8_t* const* keys, size_t n, uint64_t* h1, ui
   }
 }
 
-void ProbeIndexBatchScalar(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                           uint32_t* idx) {
-  const uint64_t multiplier = (seed << 1) | 1;
-  for (size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<uint32_t>((digests[2 * i] + multiplier * digests[2 * i + 1]) & mask);
-  }
-}
-
-void GatherU16Scalar(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = row[idx[i]];
-  }
-}
-
-void GatherValueSlotsScalar(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(dsts[i], srcs[i], 16);
-  }
-}
-
 }  // namespace
-
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::DigestBatch16(keys, n, h1, h2);
-    return;
-  }
-#endif
-  DigestBatch16Scalar(keys, n, h1, h2);
-}
 
 void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
 #if NETCACHE_HAVE_AVX2
@@ -136,37 +93,6 @@ void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t
   }
 #endif
   DigestGather16Scalar(keys, n, h1, h2);
-}
-
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::ProbeIndexBatch(digests, n, seed, mask, idx);
-    return;
-  }
-#endif
-  ProbeIndexBatchScalar(digests, n, seed, mask, idx);
-}
-
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::GatherU16(row, idx, n, out);
-    return;
-  }
-#endif
-  GatherU16Scalar(row, idx, n, out);
-}
-
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n) {
-#if NETCACHE_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    simd_avx2::GatherValueSlots(srcs, dsts, n);
-    return;
-  }
-#endif
-  GatherValueSlotsScalar(srcs, dsts, n);
 }
 
 }  // namespace simd

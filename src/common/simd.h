@@ -1,10 +1,5 @@
-// Runtime-dispatched SIMD layer for the switch burst hot path.
-//
-// The Tofino pipeline the paper models processes register arrays in hardware
-// parallel; the software switch gets the same stage-parallelism from SIMD
-// lanes. Everything vectorizable on the burst path funnels through the batch
-// kernels declared here — FNV/Mix64 digest lanes, Kirsch-Mitzenmacher probe
-// indices, Count-Min row gathers, and the 16-way control-byte group scan the
+// Runtime-dispatched SIMD layer: the FNV/Mix64 digest lanes of the storage
+// server's burst stage and the 16-way control-byte group scan the
 // cache-lookup FlatTable probes with. Raw intrinsics are confined to
 // src/common/simd* (enforced by the `simd-intrinsics` lint rule); callers
 // only ever see these dispatched entry points.
@@ -18,7 +13,7 @@
 //   - `--no-simd` on netcache_sim / any bench binary, or
 //   - building with `-DNETCACHE_SIMD=OFF`
 // all pin the scalar level. tests/determinism_test.cmake diffs a `--no-simd`
-// run against a native one byte-for-byte, and the sketch/table equivalence
+// run against a native one byte-for-byte, and the digest/table equivalence
 // suites compare both paths structure-by-structure.
 
 #ifndef NETCACHE_COMMON_SIMD_H_
@@ -80,42 +75,15 @@ namespace simd {
 
 // ---- batch kernels (runtime-dispatched, scalar fallback bit-identical) ----
 
-// Digests `n` contiguous 16-byte keys: one FNV-1a accumulation per key, then
+// Digests `n` 16-byte keys gathered through a pointer array (keys[i]
+// points at one key): one FNV-1a accumulation per key, then
 //   h1[i] = Mix64(fnv_i)
 //   h2[i] = Mix64(fnv_i ^ 0x9e3779b97f4a7c15) | 1
 // exactly KeyDigest::Of's arithmetic (proto/key_digest.h), 4 keys per AVX2
-// pass. Declared on raw u64 arrays so the kernel layer stays below proto/.
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2);
-
-// DigestBatch16 with the keys gathered through a pointer array: keys[i]
-// points at one 16-byte key. The burst stage hands the kernel each packet's
-// in-place key bytes — the vector loads themselves do the gather, replacing
-// a per-packet 16-byte scratch copy with an 8-byte pointer push.
+// pass. The server's burst stage hands the kernel each packet's in-place key
+// bytes, so the vector loads themselves do the gather. Declared on raw u64
+// arrays so the kernel layer stays below proto/.
 void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2);
-
-// Kirsch-Mitzenmacher probe indices for a whole batch against one row/
-// partition: idx[i] = (h1_i + (2*seed+1)*h2_i) & mask. `digests` points at
-// n (h1, h2) u64 pairs — the in-memory layout of a KeyDigest array. `mask`
-// must fit 32 bits (sketch widths are at most 2^32 slots).
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx);
-
-// out[i] = row[idx[i]] for a u16 register row, AVX2 gather 8 lanes a pass.
-// The gather reads 32 bits at byte offset 2*idx[i], so the row must carry
-// ONE element of tail padding past the maximum index (CountMinSketch pads
-// its rows; see count_min.cc).
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out);
-
-// Streams one 16-byte value unit per pair: dsts[i][0..15] = srcs[i][0..15].
-// The burst serve stage resolves a whole Get run's bitmap-selected register
-// slots (dataplane/value_store.h) into these pointer pairs and moves every
-// value 16 bytes a lane instead of a per-packet stage loop. Both sides must
-// have 16 readable/writable bytes — callers copy WHOLE units; a value's tail
-// bytes past its exact size land in Value scratch that nothing observes
-// (Value::operator== and the wire codec stop at size()). Pairs may alias in
-// program order (dsts never overlap srcs in practice: register slots vs
-// packet value fields).
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n);
 
 // ---- 16-way control-byte group scan (inline; SSE2 is x86-64 baseline) ----
 

@@ -13,8 +13,6 @@
 //   - Byte order: keys load as two little-endian u64 words per key and each
 //     FNV round extracts byte j with a lane shift — the same byte sequence
 //     the scalar loop consumes.
-//   - Gathers read 32 bits at byte offset 2*idx and mask to 16; rows carry
-//     one u16 of tail padding so the last index stays in bounds.
 
 #include <immintrin.h>
 
@@ -62,23 +60,15 @@ inline __m256i Mix64Lanes(__m256i x) {
   return x;
 }
 
-// Four contiguous 16-byte keys as (lo, hi) u64 lane sets. unpacklo/hi
-// interleave within 128-bit halves, so lanes come out in key order
-// {0, 2, 1, 3}; every FNV/mix step is lanewise, so the permutation is
+// Four 16-byte keys, loaded through kp[0..3], as (lo, hi) u64 lane sets.
+// unpacklo/hi interleave within 128-bit halves, so lanes come out in key
+// order {0, 2, 1, 3}; every FNV/mix step is lanewise, so the permutation is
 // harmless until the store, where kUnpermute (dst0<-src0, dst1<-src2,
-// dst2<-src1, dst3<-src3) restores key order.
+// dst2<-src1, dst3<-src3) restores key order. The vector loads gather
+// straight out of the packets' key bytes.
 constexpr int kUnpermute = 0xd8;
 
-inline void LoadKeys4(const uint8_t* k, __m256i* lo, __m256i* hi) {
-  __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k));       // k0lo k0hi k1lo k1hi
-  __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k + 32));  // k2lo k2hi k3lo k3hi
-  *lo = _mm256_unpacklo_epi64(a, b);  // k0lo k2lo k1lo k3lo
-  *hi = _mm256_unpackhi_epi64(a, b);  // k0hi k2hi k1hi k3hi
-}
-
-// Pointer-gather twin: four 16-byte loads through kp[0..3] build the same
-// two registers, so the FNV lanes run straight out of the packets' key bytes.
-inline void LoadKeys4Ptrs(const uint8_t* const* kp, __m256i* lo, __m256i* hi) {
+inline void LoadKeys4(const uint8_t* const* kp, __m256i* lo, __m256i* hi) {
   __m256i a = _mm256_set_m128i(_mm_loadu_si128(reinterpret_cast<const __m128i*>(kp[1])),
                                _mm_loadu_si128(reinterpret_cast<const __m128i*>(kp[0])));
   __m256i b = _mm256_set_m128i(_mm_loadu_si128(reinterpret_cast<const __m128i*>(kp[3])),
@@ -109,18 +99,12 @@ inline void DigestOneScalar(const uint8_t* key, uint64_t* h1, uint64_t* h2) {
 
 }  // namespace
 
-// Digest body shared by the contiguous and pointer-gather entry points.
-// `load4(i, &lo, &hi)` loads keys [i, i+4) as the (lo, hi) lane sets above.
-// Returns the number of keys consumed (a multiple of 4); callers finish the
-// tail with DigestOneScalar.
-//
 // FNV's xor-multiply recurrence is a serial dependency chain (~8-cycle
 // latency per byte through the emulated 64-bit multiply), so one 4-lane
 // vector sits idle most of the time. Four interleaved chains — 16 keys per
 // pass — keep the multiply ports saturated; the independent chains, not the
 // lane width, are what buy the throughput.
-template <typename Load4Fn>
-inline size_t DigestLanes(Load4Fn load4, size_t n, uint64_t* h1, uint64_t* h2) {
+void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
   const __m256i byte_mask = _mm256_set1_epi64x(0xff);
   const __m256i basis = _mm256_set1_epi64x(static_cast<long long>(kFnvBasis));
   const __m256i salt = _mm256_set1_epi64x(static_cast<long long>(kDigestSalt));
@@ -129,7 +113,7 @@ inline size_t DigestLanes(Load4Fn load4, size_t n, uint64_t* h1, uint64_t* h2) {
   for (; i + 16 <= n; i += 16) {
     __m256i lo[4], hi[4], h[4];
     for (int c = 0; c < 4; ++c) {
-      load4(i + 4 * c, &lo[c], &hi[c]);
+      LoadKeys4(keys + i + 4 * c, &lo[c], &hi[c]);
       h[c] = basis;
     }
     for (int j = 0; j < 8; ++j) {
@@ -154,7 +138,7 @@ inline size_t DigestLanes(Load4Fn load4, size_t n, uint64_t* h1, uint64_t* h2) {
   }
   for (; i + 4 <= n; i += 4) {
     __m256i lo, hi;
-    load4(i, &lo, &hi);
+    LoadKeys4(keys + i, &lo, &hi);
     __m256i h = basis;
     for (int j = 0; j < 8; ++j) {
       __m256i byte = _mm256_and_si256(_mm256_srli_epi64(lo, 8 * j), byte_mask);
@@ -170,89 +154,8 @@ inline size_t DigestLanes(Load4Fn load4, size_t n, uint64_t* h1, uint64_t* h2) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(h1 + i), v1);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(h2 + i), v2);
   }
-  return i;
-}
-
-void DigestBatch16(const uint8_t* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-  size_t i = DigestLanes(
-      [keys](size_t at, __m256i* lo, __m256i* hi) { LoadKeys4(keys + at * 16, lo, hi); }, n, h1,
-      h2);
-  for (; i < n; ++i) {
-    DigestOneScalar(keys + i * 16, h1 + i, h2 + i);
-  }
-}
-
-void DigestGather16(const uint8_t* const* keys, size_t n, uint64_t* h1, uint64_t* h2) {
-  size_t i = DigestLanes(
-      [keys](size_t at, __m256i* lo, __m256i* hi) { LoadKeys4Ptrs(keys + at, lo, hi); }, n, h1,
-      h2);
   for (; i < n; ++i) {
     DigestOneScalar(keys[i], h1 + i, h2 + i);
-  }
-}
-
-void ProbeIndexBatch(const uint64_t* digests, size_t n, uint64_t seed, uint64_t mask,
-                     uint32_t* idx) {
-  const uint64_t multiplier = (seed << 1) | 1;
-  const __m256i mul = _mm256_set1_epi64x(static_cast<long long>(multiplier));
-  const __m256i msk = _mm256_set1_epi64x(static_cast<long long>(mask));
-  // After unpacking two (h1, h2)-pair registers the 64-bit lanes hold
-  // packets {0, 2, 1, 3}; this epi32 pattern restores packet order while
-  // narrowing the masked indices (high halves are zero under the mask).
-  const __m256i narrow = _mm256_setr_epi32(0, 4, 2, 6, 0, 0, 0, 0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i d01 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(digests + 2 * i));
-    __m256i d23 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(digests + 2 * i + 4));
-    __m256i h1 = _mm256_unpacklo_epi64(d01, d23);  // packets {0, 2, 1, 3}
-    __m256i h2 = _mm256_unpackhi_epi64(d01, d23);
-    __m256i probe = _mm256_and_si256(_mm256_add_epi64(h1, Mullo64(h2, mul)), msk);
-    __m256i packed = _mm256_permutevar8x32_epi32(probe, narrow);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + i), _mm256_castsi256_si128(packed));
-  }
-  for (; i < n; ++i) {
-    idx[i] = static_cast<uint32_t>((digests[2 * i] + multiplier * digests[2 * i + 1]) & mask);
-  }
-}
-
-void GatherU16(const uint16_t* row, const uint32_t* idx, size_t n, uint16_t* out) {
-  const __m256i mask16 = _mm256_set1_epi32(0xffff);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    // 32-bit gather at byte offset 2*idx: the u16 lands in the low half of
-    // each lane (little-endian); the extra 16 bits read the row's padding
-    // element at the far end and are masked off.
-    __m256i g = _mm256_i32gather_epi32(reinterpret_cast<const int*>(row), vidx, 2);
-    g = _mm256_and_si256(g, mask16);
-    __m256i packed = _mm256_packus_epi32(g, g);            // per-128 halves
-    packed = _mm256_permute4x64_epi64(packed, 0b00001000);  // join the halves
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm256_castsi256_si128(packed));
-  }
-  for (; i < n; ++i) {
-    out[i] = row[idx[i]];
-  }
-}
-
-void GatherValueSlots(const uint8_t* const* srcs, uint8_t* const* dsts, size_t n) {
-  // One 16-byte copy per pair is a single xmm load/store — identical bytes to
-  // the scalar memcpy by construction. The win is the 4-deep unroll: four
-  // independent load/store chains in flight cover the pointer-chase latency
-  // the per-packet stage loop serialized.
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[i]));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[i + 1]));
-    __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[i + 2]));
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[i + 3]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dsts[i]), a);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dsts[i + 1]), b);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dsts[i + 2]), c);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dsts[i + 3]), d);
-  }
-  for (; i < n; ++i) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dsts[i]),
-                     _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[i])));
   }
 }
 

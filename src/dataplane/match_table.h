@@ -38,7 +38,7 @@ class ExactMatchTable {
   }
 
   // Counted lookup with a precomputed hash (== KeyHasher()(key), which the
-  // burst path carries on the packet as KeyDigest::h1).
+  // packet carries as KeyDigest::h1).
   const Action* MatchWithHash(const Key& key, size_t h) const {
     ++lookups_;
     const Action* a = entries_.FindWithHash(h, key);
@@ -47,33 +47,6 @@ class ExactMatchTable {
     }
     return a;
   }
-
-  // Uncounted lookup for the burst pipeline's staging pass: the pipeline
-  // peeks every packet's entry up front, then books exactly one
-  // CountMatch(hit) per packet at its in-order turn, so lookup/hit totals
-  // stay identical to the single-packet path even when a packet is
-  // re-peeked after a table mutation mid-burst.
-  const Action* PeekWithHash(const Key& key, size_t h) const {
-    return entries_.FindWithHash(h, key);
-  }
-  void CountMatch(bool hit) const {
-    ++lookups_;
-    if (hit) {
-      ++hits_;
-    }
-  }
-
-  // Bulk twin for the burst pipeline's report-safe prefix: books `lookups`
-  // packets of which `hits` matched, in one add each — total-identical to
-  // that many CountMatch calls (the counters are plain sums, so per-packet
-  // ordering is not observable).
-  void CountMatchRun(uint64_t lookups, uint64_t hits) const {
-    lookups_ += lookups;
-    hits_ += hits;
-  }
-
-  // Warms the home bucket for a later *WithHash lookup.
-  void Prefetch(size_t h) const { entries_.PrefetchHash(h); }
 
   // Pass-through to FlatTable::set_group_probe_min_load — equivalence tests
   // pin 0 to force grouped-probe coverage at any fill.

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/profiler.h"
-#include "common/simd.h"
 #include "common/trace_recorder.h"
 
 namespace netcache {
@@ -31,20 +30,6 @@ NetCacheSwitch::NetCacheSwitch(Simulator* sim, std::string name, const SwitchCon
   for (size_t i = config.cache_capacity; i > 0; --i) {
     free_key_indexes_.push_back(static_cast<uint32_t>(i - 1));
   }
-  // Reserve the burst scratch once so the steady-state burst path never
-  // allocates (a run larger than this just grows the vectors one time).
-  constexpr size_t kExpectedBurst = 64;
-  staged_.reserve(kExpectedBurst);
-  batch_key_ptrs_.reserve(kExpectedBurst);
-  batch_h1_.reserve(kExpectedBurst);
-  batch_h2_.reserve(kExpectedBurst);
-  batch_pos_.reserve(kExpectedBurst);
-  batch_miss_digests_.reserve(kExpectedBurst);
-  batch_miss_keys_.reserve(kExpectedBurst);
-  batch_miss_pos_.reserve(kExpectedBurst);
-  // Up to 8 units per served value.
-  batch_serve_srcs_.resize(kExpectedBurst * (kMaxValueSize / kValueUnitSize));
-  batch_serve_dsts_.resize(kExpectedBurst * (kMaxValueSize / kValueUnitSize));
 }
 
 // ---------------------------------------------------------------------------
@@ -88,32 +73,6 @@ void NetCacheSwitch::ScheduleEmit(uint32_t port, Packet* out_pkt) {
   });
 }
 
-void NetCacheSwitch::HandleBurst(BurstArrival* arrivals, size_t count) {
-  NC_CHECK(sim_ != nullptr) << "switch not attached to a simulator";
-  // Bridges the burst pipeline to the event queue: burst-owned packets are
-  // already pooled and go straight to ScheduleEmit; scratch packets (from
-  // the barrier path) are copied into the pool first, exactly like
-  // HandlePacket does.
-  class ScheduleSink : public EmitSink {
-   public:
-    explicit ScheduleSink(NetCacheSwitch* sw) : sw_(sw) {}
-    void OnEmit(uint32_t port, Packet* pkt, bool from_burst) override {
-      if (from_burst) {
-        sw_->ScheduleEmit(port, pkt);
-        return;
-      }
-      Packet* out_pkt = sw_->sim_->packet_pool().Acquire();
-      *out_pkt = std::move(*pkt);
-      sw_->ScheduleEmit(port, out_pkt);
-    }
-
-   private:
-    NetCacheSwitch* sw_;
-  };
-  ScheduleSink sink(this);
-  ProcessBurst(std::span<BurstArrival>(arrivals, count), sink);
-}
-
 std::vector<NetCacheSwitch::Emit> NetCacheSwitch::ProcessPacket(const Packet& pkt,
                                                                 uint32_t in_port) {
   std::vector<Emit> out;
@@ -136,16 +95,18 @@ void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
   ++counters_.netcache_queries;
 
   Packet work = pkt;
+  if (work.nc.op == OpCode::kGet) {
+    ProcessRead(work, out);  // digests the key in its first stage
+    ApplySnakeForward(in_port, out, first_emit);
+    return;
+  }
   // Ingress hash engine: one pass over the key; every downstream table,
   // sketch, and server-side index derives from the digest (or reuses one a
   // previous hop already computed).
-  if (work.is_netcache && work.digest.Empty()) {
+  if (work.digest.Empty()) {
     work.digest = KeyDigest::Of(work.nc.key);
   }
   switch (work.nc.op) {
-    case OpCode::kGet:
-      ProcessRead(work, out);
-      break;
     case OpCode::kPut:
     case OpCode::kDelete:
       ProcessWrite(work, out);
@@ -159,362 +120,6 @@ void NetCacheSwitch::ProcessPacket(const Packet& pkt, uint32_t in_port,
       break;
   }
   ApplySnakeForward(in_port, out, first_emit);
-}
-
-void NetCacheSwitch::ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& sink) {
-  size_t i = 0;
-  while (i < arrivals.size()) {
-    if (!IsNetCacheGet(*arrivals[i].pkt)) {
-      // Barrier packet (write, cache update, reply, plain L3): ordinary
-      // single-packet pipeline at its in-order turn.
-      scratch_emits_.clear();
-      ProcessPacket(*arrivals[i].pkt, arrivals[i].port, scratch_emits_);
-      for (Emit& e : scratch_emits_) {
-        sink.OnEmit(e.port, &e.pkt, /*from_burst=*/false);
-      }
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < arrivals.size() && IsNetCacheGet(*arrivals[j].pkt)) {
-      ++j;
-    }
-    ProcessGetRun(arrivals.subspan(i, j - i), sink);
-    i = j;
-  }
-}
-
-void NetCacheSwitch::ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink) {
-  // The SIMD fast path batches stage 1's digests and stage 2.5's cold-miss
-  // statistics; forcing the scalar level (--no-simd / NETCACHE_SIMD=OFF)
-  // runs the original per-packet pipeline. Both produce byte-identical
-  // output — the batched forms are proven order-equivalent (common/simd.h,
-  // sketch/count_min.h, sketch/heavy_hitter.h) and determinism_test diffs
-  // the two end to end.
-  const bool use_simd = ActiveSimdLevel() != SimdLevel::kScalar;
-
-  // Stage 1 (ingress hash + match dispatch): digest every key once and warm
-  // the lookup table's home buckets.
-  {
-    ProfScope prof(ProfCat::kSwitchDigest);
-    prof.set_arg(run.size());
-    if (use_simd) {
-      BatchDigestRun(run);
-    } else {
-      for (BurstArrival& a : run) {
-        Packet& p = *a.pkt;
-        if (p.digest.Empty()) {
-          p.digest = KeyDigest::Of(p.nc.key);
-        }
-        lookup_.Prefetch(static_cast<size_t>(p.digest.h1));
-      }
-    }
-  }
-
-  // Stage 2 (match + status): peek every packet's entry (uncounted; each
-  // packet books its one counted lookup in stage 3) and warm the registers
-  // its stage-3 turn will touch — the per-key counter and value rows on a
-  // valid hit, the Count-Min rows on a miss.
-  {
-    ProfScope prof(ProfCat::kSwitchMatchPeek);
-    prof.set_arg(run.size());
-    staged_.clear();
-    for (BurstArrival& a : run) {
-      Packet& p = *a.pkt;
-      StagedGet s;
-      RestageGet(p, &s);
-      if (s.found && s.valid) {
-        stats_.PrefetchCounter(s.action.key_index);
-        value_size_.Prefetch(s.action.key_index);
-        pipes_[s.action.pipe].values.Prefetch(s.action.bitmap, s.action.value_index);
-      } else {
-        stats_.PrefetchUncached(p.digest);
-      }
-      staged_.push_back(s);
-    }
-  }
-
-  // Stage 2.5 (batched cold misses): run the vectorized query-statistics
-  // pass over the run's staged misses and commit the provably-cold prefix —
-  // every miss whose sketch estimate cannot reach the hot threshold even if
-  // all of the run's updates landed on its counters. Those packets provably
-  // do not report (so no hot-report handler fires before them and their
-  // stage-2 classification is final); the first potentially-hot miss and
-  // everything after it stays on the exact per-packet path below, including
-  // its re-peek machinery. Skipped entirely when the sampler draws RNG per
-  // query (draw order must be preserved) or at the scalar level.
-  if (use_simd && stats_.CanBatchUncached()) {
-    BatchColdMissRun(run);
-  }
-
-  // Stage 3 (stats + value + emit), strictly in arrival order: every
-  // observable side effect — counters, the sampler's RNG draws, traces, hot
-  // reports, emit scheduling — happens at exactly the position it would in
-  // the sequential schedule, which is what keeps burst output byte-identical
-  // to single-packet processing. The profiler scope also covers stage 2.75,
-  // which is serve work.
-  ProfScope serve_prof(ProfCat::kSwitchValueServe);
-  serve_prof.set_arg(run.size());
-
-  // Stage 2.75 (batched value serve): find the report-safe prefix — every
-  // packet before the first one that could fire a hot report (a miss whose
-  // statistics were NOT pre-committed by stage 2.5; no handler can mutate
-  // the lookup table before the prefix's stage-3 turns, so its stage-2
-  // classification is final) — and assemble its hits' values with one SIMD
-  // pass over the run's register slots. The scalar level keeps the
-  // per-packet ReadValueInto in stage 3 — that loop IS the semantics, and
-  // determinism_test holds the two end to end.
-  size_t serve_end;
-  if (use_simd) {
-    serve_end = BatchValueServeRun(run);
-  } else {
-    serve_end = run.size();
-    for (size_t idx = 0; idx < run.size(); ++idx) {
-      const StagedGet& s = staged_[idx];
-      if (!(s.found && s.valid) && !s.stats_done) {
-        serve_end = idx;
-        break;
-      }
-    }
-  }
-  // Report-safe prefix first: the table cannot change under these packets,
-  // so the loop drops the re-peek branch; batched-served hits skip the value
-  // movement too and only book their in-order side effects. Pure-sum
-  // counters (packets/queries/reads, lookup totals, hits) are booked in bulk
-  // after the loop — per-packet ordering of a plain add is not observable.
-  const bool tracing = TraceEnabled();
-  uint64_t prefix_hits = 0;
-  size_t idx = 0;
-  for (; idx < serve_end; ++idx) {
-    BurstArrival& a = run[idx];
-    Packet& p = *a.pkt;
-    const StagedGet& s = staged_[idx];
-    if (s.found && s.valid) {
-      ++prefix_hits;
-      if (tracing) {
-        TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0,
-                  config_.switch_ip);
-      }
-      stats_.OnCachedRead(s.action.key_index);
-      ++pipe_value_reads_[s.action.pipe];
-      if (!s.served) {
-        size_t size = value_size_.Read(s.action.key_index);
-        pipes_[s.action.pipe].values.ReadValueInto(s.action.bitmap, s.action.value_index, size,
-                                                   &p.nc.value);
-      }
-      p.nc.has_value = true;
-      p.nc.op = OpCode::kGetReply;
-      p.SwapSrcDst();
-    } else {
-      // A stage-2.5-committed miss: provably no report, statistics done.
-      if (s.found) {
-        ++counters_.cache_invalid;
-      } else {
-        ++counters_.cache_misses;
-      }
-      if (tracing) {
-        TraceSpan(s.found ? TraceEvent::kSwitchInvalid : TraceEvent::kSwitchMiss,
-                  TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0, config_.switch_ip);
-      }
-    }
-    ForwardBurstPacket(a, sink);
-  }
-  counters_.packets += serve_end;
-  counters_.netcache_queries += serve_end;
-  counters_.reads += serve_end;
-  counters_.cache_hits += prefix_hits;
-  lookup_.CountMatchRun(serve_end, prefix_hits);
-  bool table_may_have_changed = false;
-  for (; idx < run.size(); ++idx) {
-    BurstArrival& a = run[idx];
-    Packet& p = *a.pkt;
-    StagedGet s = staged_[idx];
-    ++counters_.packets;
-    ++counters_.netcache_queries;
-    ++counters_.reads;
-    if (table_may_have_changed) {
-      // A hot report earlier in this run ran a synchronous handler that may
-      // have mutated the cache (unit-test controllers insert inline; the
-      // rack controller defers to a later event). Re-peek so this packet
-      // sees the same table state it would have sequentially.
-      RestageGetCold(p, &s);
-    }
-    lookup_.CountMatch(s.found);
-    if (s.found && s.valid) {
-      ++counters_.cache_hits;
-      if (TraceEnabled()) {
-        TraceSpan(TraceEvent::kSwitchHit, TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0,
-                  config_.switch_ip);
-      }
-      stats_.OnCachedRead(s.action.key_index);
-      ++pipe_value_reads_[s.action.pipe];
-      size_t size = value_size_.Read(s.action.key_index);
-      pipes_[s.action.pipe].values.ReadValueInto(s.action.bitmap, s.action.value_index, size,
-                                                 &p.nc.value);
-      p.nc.has_value = true;
-      p.nc.op = OpCode::kGetReply;
-      p.SwapSrcDst();
-    } else {
-      if (s.found) {
-        ++counters_.cache_invalid;
-      } else {
-        ++counters_.cache_misses;
-      }
-      if (TraceEnabled()) {
-        TraceSpan(s.found ? TraceEvent::kSwitchInvalid : TraceEvent::kSwitchMiss,
-                  TraceQueryId(p), sim_ != nullptr ? sim_->Now() : 0, config_.switch_ip);
-      }
-      // stats_done: this miss's statistics pass was committed by the batched
-      // cold prefix in stage 2.5 (provably no report).
-      if (!s.stats_done && stats_.OnUncachedRead(p.nc.key, p.digest)) {
-        ++counters_.hot_reports;
-        if (hot_report_) {
-          hot_report_(p.nc.key, stats_.SketchEstimate(p.nc.key));
-          table_may_have_changed = true;
-        }
-      }
-    }
-    ForwardBurstPacket(a, sink);
-  }
-}
-
-// Burst stage 1, SIMD leg: collect pointers at the keys still needing a
-// digest (the vector loads gather straight out of the packets), run the
-// FNV/Mix64 lanes, then scatter the results and warm the table in one merged
-// pass — batch_pos_ is ascending, so a single cursor re-pairs lanes with
-// packets.
-__attribute__((noinline)) void NetCacheSwitch::BatchDigestRun(std::span<BurstArrival> run) {
-  batch_key_ptrs_.clear();
-  batch_pos_.clear();
-  for (size_t idx = 0; idx < run.size(); ++idx) {
-    Packet& p = *run[idx].pkt;
-    if (p.digest.Empty()) {
-      batch_key_ptrs_.push_back(p.nc.key.bytes.data());
-      batch_pos_.push_back(idx);
-    }
-  }
-  if (!batch_pos_.empty()) {
-    batch_h1_.resize(batch_pos_.size());
-    batch_h2_.resize(batch_pos_.size());
-    simd::DigestGather16(batch_key_ptrs_.data(), batch_pos_.size(), batch_h1_.data(),
-                         batch_h2_.data());
-  }
-  size_t m = 0;
-  for (size_t idx = 0; idx < run.size(); ++idx) {
-    Packet& p = *run[idx].pkt;
-    if (m < batch_pos_.size() && batch_pos_[m] == idx) {
-      p.digest = KeyDigest{batch_h1_[m], batch_h2_[m]};
-      ++m;
-    }
-    lookup_.Prefetch(static_cast<size_t>(p.digest.h1));
-  }
-}
-
-// Burst stage 2.5: gather the run's staged misses and commit the provably-
-// cold prefix through the vectorized query-statistics pass.
-__attribute__((noinline)) void NetCacheSwitch::BatchColdMissRun(std::span<BurstArrival> run) {
-  batch_miss_digests_.clear();
-  batch_miss_keys_.clear();
-  batch_miss_pos_.clear();
-  for (size_t idx = 0; idx < run.size(); ++idx) {
-    const StagedGet& s = staged_[idx];
-    if (!(s.found && s.valid)) {
-      Packet& p = *run[idx].pkt;
-      batch_miss_digests_.push_back(p.digest);
-      batch_miss_keys_.push_back(&p.nc.key);
-      batch_miss_pos_.push_back(idx);
-    }
-  }
-  size_t committed = stats_.OnUncachedReadBatchColdPrefix(
-      batch_miss_keys_.data(), batch_miss_digests_.data(), batch_miss_digests_.size());
-  for (size_t m = 0; m < committed; ++m) {
-    staged_[batch_miss_pos_[m]].stats_done = true;
-  }
-}
-
-// Burst stage 2.75: one pass finds the report-safe prefix end and stages
-// every prefix hit's units. The staging books exactly the counted stage
-// reads ReadValueInto would (StageGather calls RegisterArray::Read per
-// participating unit), then a single simd::GatherValueSlots streams all
-// units 16 bytes a lane. Whole-unit copies may write past value.size()
-// inside the 128-byte buffer — that tail is unobservable (Value::operator==
-// and SerializePacket stop at size).
-__attribute__((noinline)) size_t NetCacheSwitch::BatchValueServeRun(std::span<BurstArrival> run) {
-  size_t max_units = run.size() * (kMaxValueSize / kValueUnitSize);
-  if (batch_serve_srcs_.size() < max_units) {
-    batch_serve_srcs_.resize(max_units);
-    batch_serve_dsts_.resize(max_units);
-  }
-  const uint8_t** srcs = batch_serve_srcs_.data();
-  uint8_t** dsts = batch_serve_dsts_.data();
-  size_t units = 0;
-  size_t serve_end = run.size();
-  for (size_t idx = 0; idx < run.size(); ++idx) {
-    StagedGet& s = staged_[idx];
-    if (!(s.found && s.valid)) {
-      if (!s.stats_done) {
-        serve_end = idx;
-        break;
-      }
-      continue;
-    }
-    Packet& p = *run[idx].pkt;
-    size_t size = value_size_.Read(s.action.key_index);
-    units = pipes_[s.action.pipe].values.StageGather(s.action.bitmap, s.action.value_index, size,
-                                                     p.nc.value.data(), srcs, dsts, units);
-    p.nc.value.set_size(size);
-    s.served = true;
-  }
-  if (units != 0) {
-    simd::GatherValueSlots(srcs, dsts, units);
-  }
-  return serve_end;
-}
-
-__attribute__((noinline)) void NetCacheSwitch::RestageGetCold(const Packet& p, StagedGet* s) {
-  RestageGet(p, s);
-}
-
-void NetCacheSwitch::ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink) {
-  Packet& p = *arrival.pkt;
-  const uint32_t* port;
-  if (route_memo_port_ != nullptr && p.ip.dst == route_memo_dst_) {
-    port = route_memo_port_;
-  } else {
-    port = routes_.Find(p.ip.dst);
-    if (port != nullptr) {
-      route_memo_dst_ = p.ip.dst;
-      route_memo_port_ = port;
-    }
-  }
-  if (port == nullptr) {
-    ++counters_.unroutable;
-    NC_LOG(DEBUG) << name() << ": no route for " << p.ip.dst;
-    return;
-  }
-  if (p.ip.ttl == 0) {
-    ++counters_.ttl_drops;
-    return;
-  }
-  --p.ip.ttl;
-  ++counters_.forwarded;
-  uint32_t out_port = *port;
-  if (arrival.port < snake_.size() && snake_[arrival.port].has_value()) {
-    const SnakeHop& hop = *snake_[arrival.port];
-    out_port = hop.out_port;
-    if (hop.strip_value && p.nc.op == OpCode::kGetReply) {
-      // Rewind a served reply into a fresh query for the next snake pass.
-      // The key is untouched, so the digest stays valid.
-      p.nc.op = OpCode::kGet;
-      p.nc.has_value = false;
-      p.nc.value = Value{};
-      p.SwapSrcDst();
-    }
-  }
-  // Hand the (rewritten-in-place) pooled packet to the sink and clear the
-  // arrival slot so the dispatcher doesn't release it under us.
-  arrival.pkt = nullptr;
-  sink.OnEmit(out_port, &p, /*from_burst=*/true);
 }
 
 void NetCacheSwitch::ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out, size_t first) {
@@ -535,20 +140,44 @@ void NetCacheSwitch::ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out,
   }
 }
 
-void NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value) {
+Status NetCacheSwitch::SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value) {
+  const size_t radix = config_.num_pipes * config_.ports_per_pipe;
+  if (in_port >= radix || out_port >= radix) {
+    return Status::InvalidArgument("snake port beyond switch radix");
+  }
   if (in_port >= snake_.size()) {
     snake_.resize(in_port + 1);
   }
   snake_[in_port] = SnakeHop{out_port, strip_value};
+  return Status::Ok();
 }
 
 void NetCacheSwitch::ProcessRead(Packet& pkt, std::vector<Emit>& out) {
   ++counters_.reads;
-  // Alg 1 line 2; ProcessPacket guaranteed the digest, so the match probe
-  // reuses its first hash instead of re-hashing the key.
-  const CacheAction* action =
-      lookup_.MatchWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));
-  if (action != nullptr && status_.Read(action->key_index) != 0) {
+  {
+    // Stage 1, ingress hash engine: one pass over the key; the match probe,
+    // sketch and server-side index all derive from the digest (or reuse one
+    // a previous hop already computed).
+    ProfScope prof(ProfCat::kSwitchDigest);
+    prof.set_arg(1);
+    if (pkt.digest.Empty()) {
+      pkt.digest = KeyDigest::Of(pkt.nc.key);
+    }
+  }
+  const CacheAction* action = nullptr;
+  bool valid = false;
+  {
+    // Stage 2, cache lookup + cache status (Alg 1 line 2): the match probe
+    // reuses the digest's first hash instead of re-hashing the key.
+    ProfScope prof(ProfCat::kSwitchMatchPeek);
+    prof.set_arg(1);
+    action = lookup_.MatchWithHash(pkt.nc.key, static_cast<size_t>(pkt.digest.h1));
+    valid = action != nullptr && status_.Read(action->key_index) != 0;
+  }
+  // Stage 3, query statistics + value stages + emit.
+  ProfScope prof(ProfCat::kSwitchValueServe);
+  prof.set_arg(1);
+  if (valid) {
     // Cache hit on a valid entry: serve from the egress pipe's value stages.
     ++counters_.cache_hits;
     if (TraceEnabled()) {
@@ -697,7 +326,6 @@ Status NetCacheSwitch::AddRoute(IpAddress ip, uint32_t port) {
     return Status::InvalidArgument("port beyond switch radix");
   }
   routes_.Upsert(ip, port);
-  route_memo_port_ = nullptr;  // upsert may displace entries (robin-hood)
   return Status::Ok();
 }
 

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,8 +125,9 @@ class NetCacheSwitch : public Node {
 
   // ---- data plane ----
 
+  // Delivery bursts arrive through Node::HandleBurst's per-packet loop, so
+  // every packet, burst or not, runs the one pipeline below.
   void HandlePacket(const Packet& pkt, uint32_t in_port) override;
-  void HandleBurst(BurstArrival* arrivals, size_t count) override;
 
   struct Emit {
     uint32_t port = 0;
@@ -135,30 +135,13 @@ class NetCacheSwitch : public Node {
   };
   // Runs the full pipeline on one packet and returns the packets to emit
   // (usually one; zero for consumed control packets or unroutable drops).
+  // Every NetCache Get records one span of each switch stage (ProfCat
+  // kSwitchDigest, kSwitchMatchPeek, kSwitchValueServe; arg 1) in the
+  // installed profiler.
   std::vector<Emit> ProcessPacket(const Packet& pkt, uint32_t in_port);
   // Allocation-free variant: appends emits to `out` (which the caller may
   // reuse across packets) instead of returning a fresh vector.
   void ProcessPacket(const Packet& pkt, uint32_t in_port, std::vector<Emit>& out);
-
-  // Receives the pipeline's output packets during burst processing.
-  // `from_burst` tells the sink who owns the packet: true means `pkt` is the
-  // pooled arrival rewritten in place (the sink takes ownership and must
-  // eventually Release it); false means `pkt` lives in pipeline scratch
-  // storage and the sink must copy it out before returning.
-  class EmitSink {
-   public:
-    virtual ~EmitSink() = default;
-    virtual void OnEmit(uint32_t port, Packet* pkt, bool from_burst) = 0;
-  };
-
-  // VPP-style stage-at-a-time processing of a delivery burst: runs of Get
-  // queries execute as match-all -> stats-all -> value-store-all with
-  // software prefetch between stages; any other packet is a barrier that
-  // runs through the ordinary single-packet pipeline at its in-order turn.
-  // All observable side effects (counters, RNG draws, traces, hot reports,
-  // emits) are issued at each packet's sequential position, so output is
-  // identical to calling ProcessPacket per packet in arrival order.
-  void ProcessBurst(std::span<BurstArrival> arrivals, EmitSink& sink);
 
   // ---- control plane (switch driver) ----
 
@@ -256,8 +239,9 @@ class NetCacheSwitch : public Node {
   // rewound into a fresh Get — "we remove the value field at the last egress
   // stage for all intermediate ports", so the next pass processes it as a
   // new query. The Fig 9 microbenchmark uses this to amplify offered load by
-  // the number of snake hops.
-  void SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value);
+  // the number of snake hops. Fails with kInvalidArgument when either port
+  // is beyond the switch radix, like AddRoute.
+  Status SetSnakeForward(uint32_t in_port, uint32_t out_port, bool strip_value);
 
  private:
   struct PipeState {
@@ -269,62 +253,11 @@ class NetCacheSwitch : public Node {
 
   size_t PipeOfPort(uint32_t port) const { return port / config_.ports_per_pipe; }
 
-  // Snapshot of one Get's stage-2 state in a burst: the matched action and
-  // validity, peeked ahead of the in-order stage-3 pass. stats_done marks a
-  // miss whose query-statistics pass was committed by the batched cold-prefix
-  // path (stage 2.5), so stage 3 must not feed it to the sketch again.
-  // served marks a valid hit whose value was already assembled by the batched
-  // serve pass (stage 2.75), so stage 3 only books its counters and emits.
-  struct StagedGet {
-    CacheAction action;
-    bool found = false;
-    bool valid = false;
-    bool stats_done = false;
-    bool served = false;
-  };
-
   // Parser predicate (§4.1): only packets on the reserved L4 port run the
   // NetCache modules.
   static bool IsNetCacheQuery(const Packet& p) {
     return p.is_netcache &&
            (p.l4.dst_port == kNetCachePort || p.l4.src_port == kNetCachePort);
-  }
-  // Run predicate for the staged burst pipeline: a NetCache Get query.
-  static bool IsNetCacheGet(const Packet& p) {
-    return IsNetCacheQuery(p) && p.nc.op == OpCode::kGet;
-  }
-
-  // Once-per-run SIMD batch stages (burst stage 1's digest gather and stage
-  // 2.5's cold-miss statistics prefix), outlined and pinned noinline so the
-  // per-packet loops in ProcessGetRun stay small enough for the front end —
-  // inlining them once doubled the function and cost the scalar path ~10%.
-  void BatchDigestRun(std::span<BurstArrival> run);
-  void BatchColdMissRun(std::span<BurstArrival> run);
-  // Stage 2.75: scans for the report-safe prefix end — the first staged miss
-  // whose statistics were NOT pre-committed by stage 2.5, i.e. the first
-  // packet that could fire a hot-report handler and mutate the table — and
-  // assembles the value of every valid hit before it straight into its
-  // packet via one simd::GatherValueSlots pass over the whole run's register
-  // slots, marking those entries served. Returns the prefix end.
-  size_t BatchValueServeRun(std::span<BurstArrival> run);
-
-  // Noinline twin of RestageGet for the stage-3 re-peek, which only runs
-  // after a hot report mutated the table mid-run (rare); keeps the second
-  // copy of the probe out of the serve loop's instruction footprint.
-  void RestageGetCold(const Packet& p, StagedGet* s);
-
-  // (Re)derives one Get's staged match state from the current lookup table
-  // and cache-status registers; leaves stats_done alone. Defined here so the
-  // stage-2 peek loop inlines it.
-  void RestageGet(const Packet& p, StagedGet* s) {
-    const CacheAction* action =
-        lookup_.PeekWithHash(p.nc.key, static_cast<size_t>(p.digest.h1));
-    s->found = action != nullptr;
-    s->valid = false;
-    if (action != nullptr) {
-      s->action = *action;
-      s->valid = status_.Read(action->key_index) != 0;
-    }
   }
 
   // Schedules one pooled output packet through the per-pipe rate bound and
@@ -332,17 +265,12 @@ class NetCacheSwitch : public Node {
   // ownership of `out_pkt` (releases it on an overload drop).
   void ScheduleEmit(uint32_t port, Packet* out_pkt);
 
-  // Burst stages for a run of Get queries (see ProcessBurst).
-  void ProcessGetRun(std::span<BurstArrival> run, EmitSink& sink);
-  // Routes a burst packet in place (route/ttl/snake), steals it from the
-  // arrival slot, and hands it to the sink. No-op emit on unroutable/ttl
-  // drop (the dispatcher releases the packet still in the slot).
-  void ForwardBurstPacket(BurstArrival& arrival, EmitSink& sink);
-
   // Applies the snake hop to emits appended at or after `first` (the caller
   // passes out.size() from before its pipeline pass when appending to a
   // shared scratch vector).
   void ApplySnakeForward(uint32_t in_port, std::vector<Emit>& out, size_t first);
+  // The Get pipeline (Alg 1 lines 2-9) in three profiled stages: ingress
+  // digest, cache match + status, then statistics + value serve + emit.
   void ProcessRead(Packet& pkt, std::vector<Emit>& out);
   void ProcessWrite(Packet& pkt, std::vector<Emit>& out);
   void ProcessCacheUpdate(Packet& pkt, std::vector<Emit>& out);
@@ -374,12 +302,6 @@ class NetCacheSwitch : public Node {
   // and flat probing on the Mix64-spread address beats the chained
   // unordered_map there (see micro_datastructures BM_*RouteLookup).
   NC_LP_OWNED FlatTable<IpAddress, uint32_t, UintHasher> routes_;
-  // One-entry route memo for the burst forward path: a run's replies
-  // overwhelmingly share a destination (one client, or one server for the
-  // miss side), so the repeated probe folds into a compare. nullptr port =
-  // memo empty; AddRoute invalidates (robin-hood upserts may move entries).
-  NC_LP_OWNED IpAddress route_memo_dst_ = 0;
-  NC_LP_OWNED const uint32_t* route_memo_port_ = nullptr;
   struct SnakeHop {
     uint32_t out_port = 0;
     bool strip_value = false;
@@ -391,26 +313,9 @@ class NetCacheSwitch : public Node {
   NC_LP_OWNED std::vector<uint64_t> pipe_value_reads_;
   // Per-pipe transmitter state for the optional rate bound.
   NC_LP_OWNED std::vector<SimTime> pipe_busy_until_;
-  // Scratch buffers for HandlePacket / burst processing; members so the
-  // steady state allocates nothing per packet or burst.
+  // Scratch buffer for HandlePacket; a member so the steady state allocates
+  // nothing per packet.
   NC_LP_OWNED std::vector<Emit> scratch_emits_;
-  NC_LP_OWNED std::vector<StagedGet> staged_;
-  // SIMD burst scratch (stage-1 digest batching and the stage-2.5 cold-miss
-  // batch), reserved once in the constructor: pointers at the packets'
-  // in-place key bytes for simd::DigestGather16, the resulting (h1, h2)
-  // lanes, the run positions they scatter back to, and the run's staged
-  // misses for the cold-prefix statistics pass.
-  NC_LP_OWNED std::vector<const uint8_t*> batch_key_ptrs_;
-  NC_LP_OWNED std::vector<uint64_t> batch_h1_;
-  NC_LP_OWNED std::vector<uint64_t> batch_h2_;
-  NC_LP_OWNED std::vector<size_t> batch_pos_;
-  NC_LP_OWNED std::vector<KeyDigest> batch_miss_digests_;
-  NC_LP_OWNED std::vector<const Key*> batch_miss_keys_;
-  NC_LP_OWNED std::vector<size_t> batch_miss_pos_;
-  // Stage-2.75 batched-serve scratch: one (register slot, packet value
-  // offset) pointer pair per 16-byte unit served this run.
-  NC_LP_OWNED std::vector<const uint8_t*> batch_serve_srcs_;
-  NC_LP_OWNED std::vector<uint8_t*> batch_serve_dsts_;
 };
 
 }  // namespace netcache

@@ -44,15 +44,6 @@ class RegisterArray {
     return slots_[index];
   }
 
-  // Warms the slot's cache line without counting as an access — the hardware
-  // analogue is nothing at all (SRAM has no cache), so prefetching must stay
-  // invisible to the read/write accounting tests assert on.
-  void Prefetch(size_t index) const {
-    if (index < slots_.size()) {
-      __builtin_prefetch(&slots_[index]);
-    }
-  }
-
   void Fill(const T& value) {
     for (auto& s : slots_) {
       s = value;

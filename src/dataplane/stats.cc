@@ -45,18 +45,6 @@ bool QueryStatistics::OnUncachedRead(const Key& key, const KeyDigest& digest) {
   return report;
 }
 
-size_t QueryStatistics::OnUncachedReadBatchColdPrefix(const Key* const* keys,
-                                                      const KeyDigest* digests, size_t n) {
-  if (!CanBatchUncached()) {
-    return 0;
-  }
-  size_t k = hh_.OfferBatchColdPrefix(keys, digests, n);
-  // At sample_rate >= 1.0 every committed packet would have been
-  // Sampled() == true with no RNG draw.
-  activity_.sampled += k;
-  return k;
-}
-
 void QueryStatistics::ResetEpoch() {
   counters_.Reset();
   hh_.Reset();

@@ -44,25 +44,6 @@ class QueryStatistics {
   bool OnUncachedRead(const Key& key) { return OnUncachedRead(key, KeyDigest::Of(key)); }
   bool OnUncachedRead(const Key& key, const KeyDigest& digest);
 
-  // True when the module-level sampler draws no RNG (sample_rate >= 1.0) —
-  // the precondition for the batched miss path: batching must not reorder or
-  // skip Bernoulli draws.
-  bool CanBatchUncached() const { return sample_rate_ >= 1.0; }
-
-  // Batched miss path: commits the provably-cold leading prefix of a burst's
-  // uncached reads in one vectorized pass (see
-  // HeavyHitterDetector::OfferBatchColdPrefix) and returns its length k.
-  // Every committed packet behaves exactly as OnUncachedRead returning false;
-  // the caller routes packets k..n-1 through per-packet OnUncachedRead.
-  // Returns 0 when CanBatchUncached() is false.
-  size_t OnUncachedReadBatchColdPrefix(const Key* const* keys, const KeyDigest* digests,
-                                       size_t n);
-
-  // Burst-pipeline prefetch hooks: warm the cached-read counter slot or the
-  // Count-Min rows before the corresponding On*Read call.
-  void PrefetchCounter(size_t key_index) const { counters_.Prefetch(key_index); }
-  void PrefetchUncached(const KeyDigest& digest) const { hh_.PrefetchUncached(digest); }
-
   uint32_t ReadCounter(size_t key_index) const { return counters_.Get(key_index); }
   void ClearCounter(size_t key_index) { counters_.Clear(key_index); }
   uint32_t SketchEstimate(const Key& key) const { return hh_.Estimate(key); }

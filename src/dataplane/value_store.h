@@ -52,48 +52,6 @@ class ValueStore {
   // would immediately be copied again.
   void ReadValueInto(uint32_t bitmap, size_t index, size_t size_bytes, Value* out) const;
 
-  // Batched twin of ReadValueInto: instead of copying, writes one
-  // (slot, dst + 16*k) pointer pair per participating unit — the lowest
-  // ceil(size_bytes / 16) set bits of `bitmap`, ascending, exactly the units
-  // ReadValueInto reads — at srcs/dsts[cursor...] for a later
-  // simd::GatherValueSlots pass over a whole burst; returns the advanced
-  // cursor. The caller sizes the arrays (≤ kMaxValueSize / 16 pairs per
-  // call). Books the same per-stage counted reads as ReadValueInto. The
-  // gather copies WHOLE 16-byte units, so `dst` must have
-  // ceil(size_bytes / 16) * 16 writable bytes (a Value's 128-byte buffer
-  // always does); bytes past size_bytes are unobservable scratch.
-  // Defined inline: the burst pipeline calls this once per served hit, and a
-  // cross-TU call per packet showed up in the fig09 serve-stage profile.
-  size_t StageGather(uint32_t bitmap, size_t index, size_t size_bytes, uint8_t* dst,
-                     const uint8_t** srcs, uint8_t** dsts, size_t cursor) const {
-    NC_CHECK(index < num_indexes_);
-    size_t units_available = static_cast<size_t>(std::popcount(bitmap));
-    NC_CHECK(size_bytes <= units_available * kValueUnitSize);
-    size_t offset = 0;
-    for (size_t stage = 0; stage < stages_.size() && offset < size_bytes; ++stage) {
-      if ((bitmap & (1u << stage)) == 0) {
-        continue;
-      }
-      srcs[cursor] = stages_[stage].Read(index).data();
-      dsts[cursor] = dst + offset;
-      ++cursor;
-      offset += kValueUnitSize;
-    }
-    return cursor;
-  }
-
-  // Warms row `index` of every stage set in `bitmap` ahead of a
-  // ReadValueInto — the burst pipeline's stage-2 prefetch. Does not count as
-  // a stage access (see RegisterArray::Prefetch).
-  void Prefetch(uint32_t bitmap, size_t index) const {
-    for (size_t stage = 0; bitmap != 0 && stage < stages_.size(); ++stage) {
-      if (bitmap & (1u << stage)) {
-        stages_[stage].Prefetch(index);
-        bitmap &= ~(1u << stage);
-      }
-    }
-  }
-
   size_t num_stages() const { return stages_.size(); }
   size_t num_indexes() const { return num_indexes_; }
 

@@ -63,7 +63,7 @@ class FlatTable {
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
   // Precomputed-hash lookups for callers that already hold hash_(key) — the
-  // burst pipeline carries it on the packet as KeyDigest::h1. `h` MUST equal
+  // data plane carries it on the packet as KeyDigest::h1. `h` MUST equal
   // hash_(key); the slots store their hash, so a mismatched value simply
   // never matches.
   V* FindWithHash(size_t h, const K& key) {
@@ -75,18 +75,6 @@ class FlatTable {
     return const_cast<FlatTable*>(this)->Locate(h, key, &idx)
                ? &slots_[idx].value
                : nullptr;
-  }
-
-  // Warms the home bucket for a later FindWithHash(h, ...). Robin-hood keeps
-  // probe sequences short, so the home slot's line covers most lookups.
-  void PrefetchHash(size_t h) const {
-    size_t idx = h & (slots_.size() - 1);
-    __builtin_prefetch(&slots_[idx]);
-    // Only the grouped probe reads control bytes; don't spend a fill buffer
-    // warming a line the probe will never touch.
-    if (UseGroupProbe()) {
-      __builtin_prefetch(ctrl_.data() + idx);
-    }
   }
 
   bool Erase(const K& key) {

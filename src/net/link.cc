@@ -112,7 +112,7 @@ void Link::FlushGroup(EgressBurst* g, int from_end) {
     sim_->ReleaseEgressBurst(g);
     return;
   }
-  if (sim_->egress_burst_records()) {
+  if (sim_->egress_batching()) {
     // The group rides as one record; the dispatcher weighs it as
     // entries.size() events and the receiver releases the buffer.
     uint32_t total = 0;

@@ -71,14 +71,10 @@ void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
                          << " ns but Now() is t=" << c->now << " ns";
   Ctx* dest = c;
   if (partitioned_) {
-    if (classifier_ && classifier_(rec)) {
-      dest = &ctxs_[0];
-    } else {
-      NC_CHECK(rec.node->lp() < ctxs_.size())
-          << rec.node->name() << " labeled with partition " << rec.node->lp()
-          << " but only " << num_lps() << " logical processes are configured";
-      dest = &ctxs_[rec.node->lp()];
-    }
+    NC_CHECK(rec.node->lp() < ctxs_.size())
+        << rec.node->name() << " labeled with partition " << rec.node->lp()
+        << " but only " << num_lps() << " logical processes are configured";
+    dest = &ctxs_[rec.node->lp()];
   }
   Route(*c, *dest, Event{at, NextKey(*c), rec});
 }

@@ -25,8 +25,9 @@
 // Newly scheduled events always receive a larger key than everything pending
 // in their stream, so in the sequential schedule those deliveries would have
 // run back-to-back with nothing observable in between; processing them as one
-// burst (with each packet's side effects issued at its own in-order turn, see
-// NetCacheSwitch::ProcessBurst) is therefore output-equivalent.
+// burst (with each packet's side effects issued at its own in-order turn, as
+// Node::HandleBurst's default per-packet loop and StorageServer::HandleBurst
+// do) is therefore output-equivalent.
 //
 // Parallel mode (ConfigurePartitions): nodes are labeled with a logical
 // process (LP) via Node::set_lp; each LP owns its own event heap, packet pool
@@ -103,7 +104,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <new>
 #include <thread>
 #include <utility>
@@ -163,14 +163,6 @@ class Simulator {
     EgressBurst* burst = nullptr;
   };
 
-  // Topology-installed predicate deciding which deliveries must run in the
-  // global stream even though the destination node is partitioned — packets
-  // whose handler reaches across partitions. Checked only in parallel mode.
-  // Prefer deferring the cross-partition work onto the global stream with a
-  // control-plane latency instead (see CacheController::RegisterServer):
-  // classifying a delivery serializes an instant per packet.
-  using DeliveryClassifier = std::function<bool(const DeliveryRec&)>;
-
   // `reserve_events` pre-sizes the event heap; steady-state runs should never
   // grow it. The default comfortably covers a busy single-rack simulation.
   explicit Simulator(size_t reserve_events = kDefaultReserveEvents);
@@ -218,11 +210,8 @@ class Simulator {
   void ScheduleGlobalAt(SimTime at, EventFn fn);
 
   // Schedules a packet delivery at absolute time `at` (Link::Transmit's
-  // delivery leg). Runs in the destination node's partition unless the
-  // delivery classifier claims it for the global stream.
+  // delivery leg). Runs in the destination node's partition.
   void ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec);
-
-  void SetDeliveryClassifier(DeliveryClassifier fn) { classifier_ = std::move(fn); }
 
   // Called by Link's constructor so ConfigurePartitions can compute the
   // lookahead from the topology.
@@ -268,13 +257,6 @@ class Simulator {
   // record format (--no-egress-batch is the equivalence leg).
   void set_egress_batching(bool on) { egress_batch_ = on; }
   bool egress_batching() const { return egress_batch_; }
-  // Whether FlushGroup may emit burst records right now. A delivery
-  // classifier decides per PACKET, so burst records are suppressed while one
-  // is installed in parallel mode (it would otherwise judge a whole group by
-  // its first packet).
-  bool egress_burst_records() const {
-    return egress_batch_ && !(partitioned_ && classifier_);
-  }
 
   // Transmit-group buffer pool, sharded like packet_pool(): acquire in the
   // sending LP, release wherever the group is consumed (buffers migrate).
@@ -526,7 +508,6 @@ class Simulator {
   NC_LP_SHARED std::deque<Ctx> ctxs_;  // deque: Ctx owns a PacketPool and must never move
   NC_LP_SHARED Ctx* legacy_ = nullptr;  // &ctxs_[0]
   NC_LP_SHARED std::vector<Link*> links_;  // wiring-time registry
-  NC_LP_SHARED DeliveryClassifier classifier_;  // installed before running
 
   // Per-link-clock state, coordinator-only between rounds: all-pairs
   // shortest-path propagation distances (wiring-time, immutable after

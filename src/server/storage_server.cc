@@ -58,7 +58,6 @@ size_t StorageServer::BusyCores() const {
 }
 
 void StorageServer::HandleBurst(BurstArrival* arrivals, size_t count) {
-  burst_packets_received_ += count;
   // online_ flips only in the global serial stream, so it is constant across
   // a window; a crashed server drops the whole burst in one branch. Tiny
   // windows take the per-packet path — no batch work to amortize.

@@ -40,13 +40,6 @@ class BloomFilter {
   void Insert(const Key& key) { Insert(KeyDigest::Of(key)); }
   void Insert(const KeyDigest& digest);
 
-  // Batched TestAndSet over a burst's digests: already[i] matches what
-  // TestAndSet(digests[i]) called in order would return (duplicates
-  // included). Walks partition-major — one simd::ProbeIndexBatch per
-  // partition — which commutes with the per-digest order because partitions
-  // are disjoint and the in-partition digest order is preserved.
-  void TestAndSetBatch(const KeyDigest* digests, size_t n, bool* already);
-
   void Reset();
 
   size_t num_hashes() const { return num_hashes_; }
@@ -66,8 +59,6 @@ class BloomFilter {
   size_t mask_;
   std::vector<uint64_t> seeds_;
   std::vector<std::vector<bool>> partitions_;
-  // Per-batch probe-index scratch (see count_min.h).
-  std::vector<uint32_t> scratch_idx_;
 };
 
 }  // namespace netcache

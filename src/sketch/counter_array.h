@@ -22,15 +22,6 @@ class CounterArray {
   void Clear(size_t index);
   void Reset();
 
-  // Warms the cache line for a later Increment. The array is slot-indexed
-  // (the cache controller assigns the index at insert time), so there is no
-  // digest-taking overload here — no hashing happens on this path at all.
-  void Prefetch(size_t index) const {
-    if (index < slots_.size()) {
-      __builtin_prefetch(&slots_[index]);
-    }
-  }
-
   size_t size() const { return slots_.size(); }
   size_t MemoryBits() const { return slots_.size() * 16; }
 

@@ -18,7 +18,6 @@
 #include "proto/key_digest.h"
 #include "sketch/bloom.h"
 #include "sketch/count_min.h"
-#include "sketch/counter_array.h"
 
 namespace netcache {
 namespace {
@@ -125,23 +124,6 @@ TEST(KeyDigestTest, ProbeSequenceDistinctPerSeed) {
     const KeyDigest d = KeyDigest::Of(key);
     EXPECT_NE(d.Probe(0), d.Probe(1));
     EXPECT_NE(d.Probe(1), d.Probe(2));
-  }
-}
-
-TEST(KeyDigestTest, CounterArrayPrefetchIsInvisible) {
-  // CounterArray is slot-indexed (no hashing), so it gets no digest overload;
-  // Prefetch must not change any counter or access statistic.
-  CounterArray counters(128);
-  counters.Increment(5);
-  counters.Increment(5);
-  CounterArray witness(128);
-  witness.Increment(5);
-  witness.Increment(5);
-  for (size_t i = 0; i < 256; ++i) {
-    counters.Prefetch(i % 200);  // includes out-of-range: must be a no-op
-  }
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_EQ(counters.Get(i), witness.Get(i)) << i;
   }
 }
 

@@ -81,8 +81,8 @@ TEST(MatchTableTest, ForEachEntryVisitsAll) {
 // control-byte probe and the scalar loop at call time (common/simd.h), so
 // the same table can be queried through both and must return the same entry
 // pointer — including through insert/remove churn (backward-shift deletion)
-// and the burst path's hash-carrying peek.
-TEST(MatchTableGroupProbeTest, PeekAgreesAcrossDispatchPathsUnderChurn) {
+// and the data plane's hash-carrying match.
+TEST(MatchTableGroupProbeTest, MatchWithHashAgreesAcrossDispatchPathsUnderChurn) {
   ExactMatchTable<TestAction> t(4096);
   t.set_group_probe_min_load(0);  // cover the grouped path at any fill
   Rng rng(0x6e);
@@ -101,11 +101,11 @@ TEST(MatchTableGroupProbeTest, PeekAgreesAcrossDispatchPathsUnderChurn) {
       for (uint64_t probe = 0; probe < 2048; ++probe) {
         Key k = K(probe);
         size_t h = KeyHasher()(k);
-        const TestAction* grouped = t.PeekWithHash(k, h);
+        const TestAction* grouped = t.MatchWithHash(k, h);
         const TestAction* legacy;
         {
           ScopedScalarSimd scalar;
-          legacy = t.PeekWithHash(k, h);
+          legacy = t.MatchWithHash(k, h);
         }
         ASSERT_EQ(grouped, legacy) << "op " << op << " key " << probe;
         ASSERT_EQ(grouped != nullptr, static_cast<bool>(present[probe]))

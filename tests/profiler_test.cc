@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/profiler.h"
+#include "core/rack.h"
 
 namespace netcache {
 namespace {
@@ -208,6 +209,77 @@ TEST(ProfilerTest, TlsSlotIsKeyedByProfiler) {
   EXPECT_EQ(b.lanes_used(), 1u);
   EXPECT_EQ(a.lanes_used(), 2u);  // re-acquired after b: second lane
   EXPECT_EQ(a.spans_dropped(), 0u);
+}
+
+// Aggregate `field` ("ns", "count" or "arg") of category `cat` from the
+// profile's "netcache" block; -1 when absent.
+int64_t CatAggregate(const std::string& json, const std::string& cat, const std::string& field) {
+  size_t at = json.find("\"" + cat + "\":{\"ns\":");
+  if (at == std::string::npos) {
+    return -1;
+  }
+  size_t end = json.find('}', at);
+  size_t f = json.find("\"" + field + "\":", at);
+  if (f == std::string::npos || f > end) {
+    return -1;
+  }
+  return std::stoll(json.substr(f + field.size() + 3));
+}
+
+// The switch stage categories cover every NetCache Get the switch runs,
+// whether it arrived alone or in a same-instant delivery burst: one span of
+// each stage with arg 1 per Get, so every stage's summed arg equals the
+// switch's reads counter.
+TEST(ProfilerSwitchCoverageTest, StageSpansCoverEveryGet) {
+#ifdef NETCACHE_DISABLE_PROFILING
+  GTEST_SKIP() << "profiling compiled out";
+#else
+  Profiler prof(SmallOptions(/*spans_per_lane=*/1024));
+  RackConfig cfg;
+  cfg.num_servers = 2;
+  cfg.num_clients = 1;
+  cfg.switch_config.num_pipes = 1;
+  cfg.switch_config.cache_capacity = 64;
+  cfg.switch_config.indexes_per_pipe = 64;
+  cfg.switch_config.stats.counter_slots = 64;
+  cfg.controller_config.cache_capacity = 64;
+  Rack rack(cfg);
+  rack.Populate(100, 64);
+  rack.WarmCache({Key::FromUint64(1), Key::FromUint64(2)});
+  ASSERT_EQ(InstallProfiler(&prof), nullptr);
+
+  auto get = [&rack](uint64_t id) {
+    Key key = Key::FromUint64(id);
+    rack.client(0).Get(rack.OwnerOf(key), key, [](const Status&, const Value&) {});
+  };
+  // Four Gets issued at one instant leave the client as one transmit group
+  // and reach the switch as one delivery burst: two hits, two misses.
+  rack.sim().ScheduleAt(10 * kMicrosecond, [&get] {
+    for (uint64_t id : {1, 50, 2, 60}) {
+      get(id);
+    }
+  });
+  // Then spaced single Gets, hits and misses alternating.
+  for (uint64_t i = 0; i < 8; ++i) {
+    rack.sim().ScheduleAt((100 + 20 * i) * kMicrosecond,
+                          [&get, i] { get(i % 2 == 0 ? 1 : 70 + i); });
+  }
+  rack.sim().RunUntil(2 * kMillisecond);
+  ASSERT_EQ(InstallProfiler(nullptr), &prof);
+
+  const SwitchCounters& c = rack.tor().counters();
+  EXPECT_EQ(c.reads, 12u);
+  EXPECT_GT(c.cache_hits, 0u);
+  EXPECT_GT(c.cache_misses, 0u);
+  EXPECT_GT(rack.sim().bursts_dispatched(), 0u);
+  std::ostringstream out;
+  prof.WriteChromeTrace(out);
+  const std::string json = out.str();
+  for (const char* cat : {"switch_digest", "switch_match_peek", "switch_value_serve"}) {
+    EXPECT_EQ(CatAggregate(json, cat, "arg"), static_cast<int64_t>(c.reads)) << cat;
+    EXPECT_EQ(CatAggregate(json, cat, "count"), static_cast<int64_t>(c.reads)) << cat;
+  }
+#endif
 }
 
 }  // namespace

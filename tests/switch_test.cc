@@ -285,6 +285,24 @@ TEST_F(SwitchTest, UnroutableDropped) {
   EXPECT_EQ(sw_.counters().unroutable, 1u);
 }
 
+TEST_F(SwitchTest, SnakeForwardRejectsPortsBeyondRadix) {
+  // SmallSwitch has 2 pipes x 4 ports: ports 0..7 exist.
+  EXPECT_EQ(sw_.SetSnakeForward(4, 8, /*strip_value=*/true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sw_.SetSnakeForward(8, 0, /*strip_value=*/true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sw_.AddRoute(0x0b000009, 8).code(), StatusCode::kInvalidArgument);
+  // A rejected hop leaves forwarding untouched: port 4 still routes by dst.
+  auto emits = Run(MakeGet(kClient, kServerA, K(1), 1));
+  ASSERT_EQ(emits.size(), 1u);
+  EXPECT_EQ(emits[0].port, 0u);
+  // The last port is valid and takes effect.
+  ASSERT_TRUE(sw_.SetSnakeForward(4, 7, /*strip_value=*/false).ok());
+  emits = Run(MakeGet(kClient, kServerA, K(1), 2));
+  ASSERT_EQ(emits.size(), 1u);
+  EXPECT_EQ(emits[0].port, 7u);
+}
+
 TEST_F(SwitchTest, InsertPlacesValueInOwningPipe) {
   // kServerA is on port 0 -> pipe 0; kClient on port 4 -> pipe 1.
   ASSERT_TRUE(sw_.InsertCacheEntry(K(1), Value::Filler(1, 16), kServerA).ok());

@@ -3,12 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstring>
-#include <vector>
-
-#include "common/rng.h"
-#include "common/simd.h"
 #include "dataplane/register_array.h"
 #include "dataplane/value_store.h"
 
@@ -115,80 +109,6 @@ TEST(ValueStoreDeathTest, ValueTooLargeForBitmap) {
   ValueStore vs(8, 4);
   Value big = Value::Filler(1, 64);  // 4 units
   EXPECT_DEATH(vs.WriteValue(0b1, 0, big), "does not fit");
-}
-
-// ---- StageGather + simd::GatherValueSlots (the burst serve kernel) ----
-
-// Every 8-stage bitmap shape (contiguous, sparse, high-only), slot counts
-// 1..8, and ragged sizes that leave tail bytes in the last unit: the gather
-// must reconstruct exactly what ReadValue returns, and the scalar kernel must
-// be bit-identical to the native (possibly AVX2) one — including the
-// whole-unit scratch bytes past the value's exact size.
-TEST(GatherValueSlotsTest, ScalarMatchesNativeAllBitmapShapes) {
-  ValueStore vs(8, 4);
-  for (uint32_t bitmap = 1; bitmap < 256; ++bitmap) {
-    size_t units = static_cast<size_t>(std::popcount(bitmap));
-    // Sizes that all require exactly `units` slots: full, one short, mid-unit,
-    // and a single byte into the last unit.
-    for (size_t size : {units * kValueUnitSize, units * kValueUnitSize - 1,
-                        units * kValueUnitSize - 7, (units - 1) * kValueUnitSize + 1}) {
-      Value v = Value::Filler(bitmap * 1009 + size, size);
-      vs.WriteValue(bitmap, 1, v);
-
-      const uint8_t* srcs[8];
-      uint8_t* dsts[8];
-      Value native;
-      native.set_size(size);
-      size_t n = vs.StageGather(bitmap, 1, size, native.data(), srcs, dsts, 0);
-      ASSERT_EQ(n, units);
-      simd::GatherValueSlots(srcs, dsts, n);
-
-      Value scalar;
-      scalar.set_size(size);
-      {
-        ScopedScalarSimd force_scalar;
-        size_t m = vs.StageGather(bitmap, 1, size, scalar.data(), srcs, dsts, 0);
-        ASSERT_EQ(m, units);
-        simd::GatherValueSlots(srcs, dsts, m);
-      }
-
-      EXPECT_EQ(native, v);  // gather == ReadValue semantics
-      // Bit-identical including the unobservable whole-unit tail.
-      EXPECT_EQ(std::memcmp(native.data(), scalar.data(), units * kValueUnitSize), 0)
-          << "bitmap=" << bitmap << " size=" << size;
-    }
-  }
-}
-
-// Cross-packet accumulation, the way ProcessGetRun uses it: one pointer-pair
-// array spans many values, the kernel runs once over the whole run. Odd pair
-// counts exercise the vector tail path.
-TEST(GatherValueSlotsTest, BatchedRunMatchesPerValueReads) {
-  constexpr size_t kValues = 37;  // odd total, mixed unit counts
-  ValueStore vs(8, kValues + 1);
-  std::vector<Value> want(kValues);
-  std::vector<uint32_t> bitmaps(kValues);
-  for (size_t i = 0; i < kValues; ++i) {
-    size_t units = 1 + (i % 8);
-    size_t size = units * kValueUnitSize - (i % kValueUnitSize);
-    bitmaps[i] = (1u << units) - 1;
-    want[i] = Value::Filler(0xfeed + i * 77, size);
-    vs.WriteValue(bitmaps[i], i, want[i]);
-  }
-  std::vector<const uint8_t*> srcs(kValues * 8);
-  std::vector<uint8_t*> dsts(kValues * 8);
-  std::vector<Value> got(kValues);
-  size_t cursor = 0;
-  for (size_t i = 0; i < kValues; ++i) {
-    got[i].set_size(want[i].size());
-    cursor = vs.StageGather(bitmaps[i], i, want[i].size(), got[i].data(), srcs.data(),
-                            dsts.data(), cursor);
-  }
-  simd::GatherValueSlots(srcs.data(), dsts.data(), cursor);
-  for (size_t i = 0; i < kValues; ++i) {
-    EXPECT_EQ(got[i], want[i]) << "value " << i;
-    EXPECT_EQ(got[i], vs.ReadValue(bitmaps[i], i, want[i].size()));
-  }
 }
 
 }  // namespace

@@ -246,12 +246,13 @@ def report(doc: dict, min_attributed: float) -> int:
     print(f"  overall: {100.0 * overall:.1f}% of DES-lane wall-clock attributed "
           f"to execute+barrier+merge+fence+coordinate ({len(des_lanes)} lane(s))")
 
-    # Switch pipeline: nested inside lp_execute, reported as a breakdown of it.
+    # Switch Get pipeline: one span per stage per Get, nested inside
+    # lp_execute and reported as a breakdown of it.
     switch_total = sum(l["cats"][c]["ns"] for l in lanes for c in SWITCH_CATS)
     if switch_total > 0:
         exec_total = sum(l["cats"]["lp_execute"]["ns"] for l in lanes)
-        print("\nSwitch pipeline (nested inside execute; not an extra bucket)")
-        print(f"  {'stage':<20} {'ms':>9} {'spans':>10} {'packets':>12} {'ns/packet':>10}")
+        print("\nSwitch Get pipeline, per packet (nested inside execute; not an extra bucket)")
+        print(f"  {'stage':<20} {'ms':>9} {'spans':>10} {'gets':>12} {'ns/get':>10}")
         for cat in SWITCH_CATS:
             ns_sum = sum(l["cats"][cat]["ns"] for l in lanes)
             count = sum(l["cats"][cat]["count"] for l in lanes)

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <thread>
 
 #include "common/cli.h"
 #include "common/json_writer.h"
@@ -9,6 +11,25 @@
 
 namespace netcache {
 namespace bench {
+namespace {
+
+// The first "model name" in /proc/cpuinfo, or "unknown" where there is none.
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) {
+      continue;
+    }
+    size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (value != std::string::npos) {
+      return line.substr(value);
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace
 
 BenchHarness::BenchHarness(int argc, char** argv, std::string name)
     : name_(std::move(name)) {
@@ -100,6 +121,15 @@ int BenchHarness::Finish() const {
   // the regression gate refuses to compare across this bit.
   w.Field("egress_batch", egress_batch_ ? 1 : 0);
   w.EndObject();
+  // Where the wall-clock numbers were taken; bench_regress.py --perf refuses
+  // to compare documents from different hosts.
+  w.Name("host");
+  w.BeginObject();
+  w.Field("build_type", NETCACHE_BUILD_TYPE);
+  w.Field("nproc", static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  w.Field("cpu_model", CpuModel());
+  w.Field("compiler", NETCACHE_COMPILER);
+  w.EndObject();
   w.Name("trials");
   w.BeginArray();
   for (const TrialRecord& t : trials_) {
@@ -122,6 +152,10 @@ int BenchHarness::Finish() const {
       if (t.events > 0) {
         w.Field("events", t.events);
         w.Field("events_per_sec", static_cast<double>(t.events) / (t.wall_ms / 1e3));
+      }
+      if (t.queries > 0) {
+        w.Field("queries", t.queries);
+        w.Field("queries_per_sec", static_cast<double>(t.queries) / (t.wall_ms / 1e3));
       }
     }
     w.EndObject();

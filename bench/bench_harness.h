@@ -6,7 +6,10 @@
 // reproduces. DES-driven benches wrap their simulation in a TrialTimer, which
 // adds wall-clock milliseconds and (via SetEvents) the simulator's
 // events-processed count, from which the writer derives events_per_sec — the
-// throughput measure the perf regression gate watches.
+// throughput measure the perf regression gate watches. Benches that count
+// completed queries add them via SetQueries, and the writer derives
+// queries_per_sec too: a change that removes events per query speeds up
+// queries/s more than events/s.
 //
 // Flags (parsed from main's argv; unknown flags are ignored so google-benchmark
 // style flags can coexist):
@@ -37,6 +40,11 @@
 // (or vice versa), nor an AVX2 run against a scalar one, nor against a run
 // whose parallel request silently degraded.
 //
+// A top-level "host" object records where the numbers were taken: build_type,
+// nproc, cpu_model and compiler. It is kept out of "config" on purpose: model
+// metrics compare across hosts, wall-clock numbers do not, so only
+// bench_regress.py --perf refuses documents whose hosts differ.
+//
 // Wall-clock calls live only in bench/ — the simulation library and tools are
 // wall-clock-free by lint rule; benches are the one place timing is the point.
 
@@ -65,8 +73,9 @@ struct TrialRecord {
   // is deterministic for a fixed seed.
   std::vector<std::pair<std::string, double>> config;
   std::vector<std::pair<std::string, double>> metrics;
-  double wall_ms = 0;   // wall-clock of the timed section; 0 = untimed
-  uint64_t events = 0;  // simulator events executed; 0 = closed-form bench
+  double wall_ms = 0;    // wall-clock of the timed section; 0 = untimed
+  uint64_t events = 0;   // simulator events executed; 0 = closed-form bench
+  uint64_t queries = 0;  // queries completed in the timed section; 0 = not counted
 
   TrialRecord& Config(const std::string& name, double value) {
     config.emplace_back(name, value);
@@ -158,6 +167,7 @@ class TrialTimer {
   TrialTimer& operator=(const TrialTimer&) = delete;
 
   void SetEvents(uint64_t events) { trial_->events = events; }
+  void SetQueries(uint64_t queries) { trial_->queries = queries; }
 
  private:
   TrialRecord* trial_;

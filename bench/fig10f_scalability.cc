@@ -116,6 +116,7 @@ void RunDesTrial(bench::BenchHarness& harness, size_t racks, SimDuration duratio
     }
     fabric.sim().RunUntil(duration + 10 * kMillisecond);
     timer.SetEvents(fabric.sim().events_processed());
+    timer.SetQueries(completed);
   }
 
   double secs = static_cast<double>(duration) / 1e9;

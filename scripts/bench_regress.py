@@ -2,8 +2,9 @@
 """Compare two bench-harness JSON files and fail on metric regressions.
 
 Every bench under bench/ accepts --json=PATH and writes
-    {"bench": ..., "seed": ..., "trials": [{"label", "config", "metrics",
-     "wall_ms"?, "events"?, "events_per_sec"?}, ...]}
+    {"bench": ..., "seed": ..., "config": {...}, "host": {...},
+     "trials": [{"label", "config", "metrics", "wall_ms"?, "events"?,
+                 "events_per_sec"?, "queries"?, "queries_per_sec"?}, ...]}
 (see bench/bench_harness.h). This script diffs a candidate file against a
 baseline, matching trials by label and metrics by name:
 
@@ -20,9 +21,16 @@ gate; run it only on a machine with >= 8 cores (CI skips it otherwise).
 
 Model metrics (the "metrics" map) are deterministic for a fixed seed, so the
 default tolerance is tight; any |new - old| > tolerance * max(|old|, eps)
-is a regression. Wall-clock numbers (wall_ms, events_per_sec) vary with the
-machine and are only compared when --perf is given, against the looser
---perf-tolerance, and only in the slower direction (faster is never flagged).
+is a regression. Wall-clock numbers (wall_ms, events_per_sec,
+queries_per_sec) vary with the machine and are only compared when --perf is
+given, against the looser --perf-tolerance, and only in the slower direction
+(faster is never flagged).
+
+Documents also carry a top-level "host" object ({"build_type", "nproc",
+"cpu_model", "compiler"}). With --perf, two documents that both have one and
+disagree are refused: a Release and a RelWithDebInfo build, or two machines,
+do not time the same thing. Model-metric comparisons ignore "host", so CI can
+grade a fresh run against a baseline taken elsewhere.
 
 Both documents may carry a top-level "config" object recording the run setup
 ({"threads", "sim_threads", "sim_threads_effective", "serial", "simd_level",
@@ -169,6 +177,17 @@ def main():
             "--serial/--no-simd/--no-egress-batch flags (simd_level and "
             "egress_batch must match: scalar vs AVX2 and per-packet vs "
             "coalesced delivery are different codepaths).")
+    base_host = base_doc.get("host")
+    cand_host = cand_doc.get("host")
+    if (args.perf and base_host is not None and cand_host is not None
+            and base_host != cand_host):
+        sys.exit(
+            "bench_regress: hosts differ — refusing a --perf comparison.\n"
+            f"  baseline  {args.baseline}: {json.dumps(base_host, sort_keys=True)}\n"
+            f"  candidate {args.candidate}: {json.dumps(cand_host, sort_keys=True)}\n"
+            "  Wall-clock numbers only compare on the same build type, "
+            "compiler and machine; re-take the baseline there, or drop --perf "
+            "to compare model metrics only.")
     if base_doc.get("bench") != cand_doc.get("bench"):
         print(f"note: comparing different benches: {base_doc.get('bench')!r} "
               f"vs {cand_doc.get('bench')!r}")
@@ -209,15 +228,16 @@ def main():
                         f"trial {label!r}: wall_ms {old_ms:g} -> {new_ms:g} "
                         f"({delta:+.2%} slower, tolerance "
                         f"+{args.perf_tolerance:.2%})")
-            old_eps, new_eps = bt.get("events_per_sec"), ct.get("events_per_sec")
-            if old_eps and new_eps:
-                compared += 1
-                delta = rel_delta(old_eps, new_eps)
-                if delta < -args.perf_tolerance:
-                    failures.append(
-                        f"trial {label!r}: events_per_sec {old_eps:g} -> "
-                        f"{new_eps:g} ({delta:+.2%}, tolerance "
-                        f"-{args.perf_tolerance:.2%})")
+            for rate in ("events_per_sec", "queries_per_sec"):
+                old_rate, new_rate = bt.get(rate), ct.get(rate)
+                if old_rate and new_rate:
+                    compared += 1
+                    delta = rel_delta(old_rate, new_rate)
+                    if delta < -args.perf_tolerance:
+                        failures.append(
+                            f"trial {label!r}: {rate} {old_rate:g} -> "
+                            f"{new_rate:g} ({delta:+.2%}, tolerance "
+                            f"-{args.perf_tolerance:.2%})")
 
     additions = [label for label in cand if label not in base]
     if additions:

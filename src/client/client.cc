@@ -30,44 +30,85 @@ void Client::Delete(IpAddress server, const Key& key, ResponseCallback cb) {
 void Client::SendQuery(Packet pkt, ResponseCallback cb) {
   uint32_t seq = next_seq_++;
   pkt.nc.seq = seq;
-  outstanding_[seq] = Pending{std::move(cb), sim_->Now()};
+  window_.push_back(Pending{std::move(cb), sim_->Now()});
+  ++unanswered_;
   if (TraceEnabled()) {
     TraceSpan(TraceEvent::kClientSend, TraceQueryId(pkt), sim_->Now(), config_.ip,
               static_cast<uint64_t>(pkt.nc.op));
   }
   Send(0, pkt);
+  if (!timer_armed_) {
+    ArmTimer(sim_->Now() + config_.reply_timeout);
+  }
+}
 
-  // Node-affine: timeouts belong to this client's partition.
-  sim_->ScheduleFor(this, config_.reply_timeout, [this, seq] {
-    auto it = outstanding_.find(seq);
-    if (it == outstanding_.end()) {
-      return;  // answered in time
+void Client::ArmTimer(SimTime at) {
+  timer_armed_ = true;
+  // Node-affine: the timer belongs to this client's partition.
+  sim_->ScheduleAtFor(this, at, [this] { OnTimer(); });
+}
+
+void Client::OnTimer() {
+  // timer_armed_ stays set while callbacks run, so queries they send do not
+  // arm a second timer; the re-arm below covers them.
+  ExpireDue();
+  PopAnswered();
+  timer_armed_ = false;
+  if (!window_.empty()) {
+    ArmTimer(window_.front().sent_at + config_.reply_timeout);
+  }
+}
+
+void Client::ExpireDue() {
+  SimTime now = sim_->Now();
+  // Index, not iterator: a callback may send a query, which appends.
+  for (size_t i = 0; i < window_.size() && window_[i].sent_at + config_.reply_timeout <= now;
+       ++i) {
+    Pending& pending = window_[i];
+    if (pending.answered) {
+      continue;
     }
-    Pending pending = std::move(it->second);
-    outstanding_.erase(it);
+    pending.answered = true;
+    --unanswered_;
+    ResponseCallback cb = std::move(pending.cb);
     ++stats_.timeouts;
     if (TraceEnabled()) {
-      TraceSpan(TraceEvent::kClientTimeout,
-                (static_cast<uint64_t>(config_.ip) << 32) | seq, sim_->Now(), config_.ip);
+      uint32_t seq = first_seq_ + static_cast<uint32_t>(i);
+      TraceSpan(TraceEvent::kClientTimeout, (static_cast<uint64_t>(config_.ip) << 32) | seq, now,
+                config_.ip);
     }
-    if (pending.cb) {
-      pending.cb(Status::Unavailable("query timed out"), Value{});
+    if (cb) {
+      cb(Status::Unavailable("query timed out"), Value{});
     }
-  });
+  }
+}
+
+void Client::PopAnswered() {
+  while (!window_.empty() && window_.front().answered) {
+    window_.pop_front();
+    ++first_seq_;
+  }
 }
 
 void Client::HandlePacket(const Packet& pkt, uint32_t /*in_port*/) {
   if (!pkt.is_netcache || !IsReplyOp(pkt.nc.op)) {
     return;
   }
-  auto it = outstanding_.find(pkt.nc.seq);
-  if (it == outstanding_.end()) {
-    return;  // late reply after timeout; drop
+  // A query whose deadline is now has timed out, even if the timer event for
+  // this instant has not run yet.
+  ExpireDue();
+  uint32_t index = pkt.nc.seq - first_seq_;  // wraps to a huge value below the window
+  if (index >= window_.size() || window_[index].answered) {
+    return;  // late reply after timeout, or a duplicate; drop
   }
-  Pending pending = std::move(it->second);
-  outstanding_.erase(it);
+  Pending& pending = window_[index];
+  pending.answered = true;
+  --unanswered_;
+  ResponseCallback cb = std::move(pending.cb);
+  SimTime sent_at = pending.sent_at;
+  PopAnswered();
   ++stats_.replies;
-  latency_.Record(sim_->Now() - pending.sent_at);
+  latency_.Record(sim_->Now() - sent_at);
   if (TraceEnabled()) {
     TraceSpan(TraceEvent::kClientReply, TraceQueryId(pkt), sim_->Now(), config_.ip,
               static_cast<uint64_t>(pkt.nc.op));
@@ -78,8 +119,8 @@ void Client::HandlePacket(const Packet& pkt, uint32_t /*in_port*/) {
     ++stats_.not_found;
     status = Status::NotFound("no such key");
   }
-  if (pending.cb) {
-    pending.cb(status, pkt.nc.value);
+  if (cb) {
+    cb(status, pkt.nc.value);
   }
 }
 
@@ -93,7 +134,7 @@ void Client::RegisterMetrics(MetricsRegistry& registry, const std::string& prefi
   registry.AddCounter(prefix + ".not_found", &s.not_found, labels);
   registry.AddCounter(prefix + ".timeouts", &s.timeouts, labels);
   registry.AddGauge(
-      prefix + ".outstanding", [this] { return static_cast<double>(outstanding_.size()); },
+      prefix + ".outstanding", [this] { return static_cast<double>(unanswered_); },
       labels);
   registry.AddHistogram(prefix + ".latency", &latency_, labels);
 }

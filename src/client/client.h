@@ -12,10 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/histogram.h"
 #include "common/lp_ownership.h"
@@ -31,7 +31,8 @@ namespace netcache {
 struct ClientConfig {
   IpAddress ip = 0;
   // Outstanding queries older than this are reported as kUnavailable (packet
-  // loss); reads are UDP, so loss is expected under overload.
+  // loss); reads are UDP, so loss is expected under overload. A reply that
+  // arrives exactly at the deadline is a timeout.
   SimDuration reply_timeout = 2 * kMillisecond;
 };
 
@@ -75,7 +76,7 @@ class Client : public Node {
   // Latency of completed queries, in nanoseconds of simulated time.
   const Histogram& latency() const { return latency_; }
   Histogram& latency() { return latency_; }
-  size_t Outstanding() const { return outstanding_.size(); }
+  size_t Outstanding() const { return unanswered_; }
 
   // Registers every ClientStats field, the outstanding-query gauge, and the
   // latency histogram under `prefix` (e.g. "client.0.latency").
@@ -85,19 +86,37 @@ class Client : public Node {
   const ClientConfig& config() const { return config_; }
 
  private:
+  // One sent query; it times out at sent_at + reply_timeout.
   struct Pending {
     ResponseCallback cb;
     SimTime sent_at = 0;
+    bool answered = false;  // replied to or timed out; later replies are dropped
   };
 
   void SendQuery(Packet pkt, ResponseCallback cb);
+  // Times out every unanswered query whose deadline is <= Now(), in seq order.
+  void ExpireDue();
+  // Drops answered queries off the front of the window.
+  void PopAnswered();
+  // The reply timer: expires due queries, then re-arms at the deadline of the
+  // oldest unanswered one, if any.
+  void OnTimer();
+  void ArmTimer(SimTime at);
 
   // LP ownership: everything mutable is driven from this client's own events
-  // (queries, replies, timeouts), all scheduled node-affine via ScheduleFor.
+  // (queries, replies, the reply timer), all scheduled node-affine.
   NC_LP_SHARED Simulator* sim_;
   NC_LP_SHARED ClientConfig config_;
   NC_LP_OWNED uint32_t next_seq_ = 1;
-  NC_LP_OWNED std::unordered_map<uint32_t, Pending> outstanding_;
+  // Sent queries in seq order: window_[i] holds seq first_seq_ + i, so
+  // first_seq_ + window_.size() == next_seq_. reply_timeout is fixed, so
+  // deadlines ascend with seq and one timer covers the whole window.
+  NC_LP_OWNED std::deque<Pending> window_;
+  NC_LP_OWNED uint32_t first_seq_ = 1;
+  NC_LP_OWNED size_t unanswered_ = 0;  // window_ entries still awaiting a reply
+  // At most one timer event is pending. It is never later than the deadline
+  // of the oldest unanswered query.
+  NC_LP_OWNED bool timer_armed_ = false;
   NC_LP_OWNED ClientStats stats_;
   NC_LP_OWNED Histogram latency_;
 };

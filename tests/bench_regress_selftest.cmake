@@ -5,7 +5,8 @@
 # Covers the contract CI relies on: exit 0 on a matching pair, exit 1 on a
 # metric regression, and exit 1 with closest-label suggestions when a
 # baseline trial label is missing from the candidate (the renamed-trial
-# case).
+# case), and a --perf comparison refused when the two documents' "host"
+# fingerprints differ while a model-only comparison still passes.
 
 set(DIR ${WORK_DIR}/bench_regress_selftest)
 file(MAKE_DIRECTORY ${DIR})
@@ -62,4 +63,61 @@ endif()
 string(FIND "${out}" "zipf_0.99_cache_256" idx)
 if(idx EQUAL -1)
   message(FATAL_ERROR "suggestion does not list the renamed label:\n${out}")
+endif()
+
+# Host fingerprints: --perf compares wall-clock only on the same host; the
+# model-metric comparison (CI's gate) ignores the host.
+file(WRITE ${DIR}/host_a.json [=[
+{"bench": "fixture", "seed": 1,
+ "host": {"build_type": "Release", "nproc": 4, "cpu_model": "cpu", "compiler": "GNU 13"},
+ "trials": [{"label": "des", "metrics": {"completed": 10.0},
+             "wall_ms": 100.0, "events_per_sec": 1000.0, "queries_per_sec": 100.0}]}
+]=])
+file(WRITE ${DIR}/host_b.json [=[
+{"bench": "fixture", "seed": 1,
+ "host": {"build_type": "RelWithDebInfo", "nproc": 4, "cpu_model": "cpu", "compiler": "GNU 13"},
+ "trials": [{"label": "des", "metrics": {"completed": 10.0},
+             "wall_ms": 100.0, "events_per_sec": 1000.0, "queries_per_sec": 100.0}]}
+]=])
+file(WRITE ${DIR}/host_a_slow.json [=[
+{"bench": "fixture", "seed": 1,
+ "host": {"build_type": "Release", "nproc": 4, "cpu_model": "cpu", "compiler": "GNU 13"},
+ "trials": [{"label": "des", "metrics": {"completed": 10.0},
+             "wall_ms": 100.0, "events_per_sec": 1000.0, "queries_per_sec": 50.0}]}
+]=])
+
+execute_process(
+  COMMAND ${PYTHON} ${REGRESS} --perf ${DIR}/host_a.json ${DIR}/host_a.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--perf on the same host should exit 0, got ${rc}:\n${out}\n${err}")
+endif()
+
+execute_process(
+  COMMAND ${PYTHON} ${REGRESS} --perf ${DIR}/host_a.json ${DIR}/host_b.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "--perf across hosts should be refused, got exit 0:\n${out}\n${err}")
+endif()
+string(FIND "${err}" "hosts differ" idx)
+if(idx EQUAL -1)
+  message(FATAL_ERROR "host refusal does not say why:\n${out}\n${err}")
+endif()
+
+execute_process(
+  COMMAND ${PYTHON} ${REGRESS} ${DIR}/host_a.json ${DIR}/host_b.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "model-only comparison across hosts should exit 0, got ${rc}:\n${out}\n${err}")
+endif()
+
+execute_process(
+  COMMAND ${PYTHON} ${REGRESS} --perf --perf-tolerance 0.3 ${DIR}/host_a.json ${DIR}/host_a_slow.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "halved queries_per_sec should exit 1, got ${rc}:\n${out}\n${err}")
+endif()
+string(FIND "${out}" "queries_per_sec" idx)
+if(idx EQUAL -1)
+  message(FATAL_ERROR "queries_per_sec regression not named:\n${out}")
 endif()

@@ -1,5 +1,6 @@
 #include "bench/bench_harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include "common/cli.h"
 #include "common/json_writer.h"
+#include "common/logging.h"
 #include "common/simd.h"
 
 namespace netcache {
@@ -29,7 +31,53 @@ std::string CpuModel() {
   return "unknown";
 }
 
+// Quantile q of sorted `v` by linear interpolation between closest ranks.
+double Quantile(const std::vector<double>& v, double q) {
+  double pos = q * static_cast<double>(v.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+// Median and interquartile range of `v`.
+std::pair<double, double> MedianIqr(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {Quantile(v, 0.5), Quantile(v, 0.75) - Quantile(v, 0.25)};
+}
+
+// Writes `name` (the median over the runs) and `name`_iqr for a per-run
+// rate count / wall seconds.
+void WriteRate(JsonWriter& w, const std::string& name, uint64_t count,
+               const std::vector<double>& wall_ms_runs) {
+  std::vector<double> rates;
+  for (double ms : wall_ms_runs) {
+    rates.push_back(static_cast<double>(count) / (ms / 1e3));
+  }
+  auto [median, iqr] = MedianIqr(rates);
+  w.Field(name, median);
+  w.Field(name + "_iqr", iqr);
+}
+
 }  // namespace
+
+TrialRecord FoldRepetitions(std::vector<TrialRecord> runs) {
+  NC_CHECK(!runs.empty());
+  TrialRecord folded = std::move(runs[0]);
+  folded.wall_ms_runs = {folded.wall_ms};
+  for (size_t i = 1; i < runs.size(); ++i) {
+    const TrialRecord& r = runs[i];
+    NC_CHECK(r.label == folded.label && r.config == folded.config &&
+             r.metrics == folded.metrics && r.events == folded.events &&
+             r.queries == folded.queries)
+        << "trial " << folded.label << ": repetition " << i
+        << " simulated different results than repetition 0 (events " << r.events << " vs "
+        << folded.events << ", queries " << r.queries << " vs " << folded.queries
+        << "); a seeded trial must repeat exactly";
+    folded.wall_ms_runs.push_back(r.wall_ms);
+  }
+  folded.wall_ms = MedianIqr(folded.wall_ms_runs).first;
+  return folded;
+}
 
 BenchHarness::BenchHarness(int argc, char** argv, std::string name)
     : name_(std::move(name)) {
@@ -147,7 +195,19 @@ int BenchHarness::Finish() const {
       w.Field(key, value);
     }
     w.EndObject();
-    if (t.wall_ms > 0) {
+    if (t.wall_ms_runs.size() > 1) {
+      w.Field("repetitions", static_cast<uint64_t>(t.wall_ms_runs.size()));
+      w.Field("wall_ms", t.wall_ms);  // the median (FoldRepetitions)
+      w.Field("wall_ms_iqr", MedianIqr(t.wall_ms_runs).second);
+      if (t.events > 0) {
+        w.Field("events", t.events);
+        WriteRate(w, "events_per_sec", t.events, t.wall_ms_runs);
+      }
+      if (t.queries > 0) {
+        w.Field("queries", t.queries);
+        WriteRate(w, "queries_per_sec", t.queries, t.wall_ms_runs);
+      }
+    } else if (t.wall_ms > 0) {
       w.Field("wall_ms", t.wall_ms);
       if (t.events > 0) {
         w.Field("events", t.events);

@@ -9,7 +9,9 @@
 // throughput measure the perf regression gate watches. Benches that count
 // completed queries add them via SetQueries, and the writer derives
 // queries_per_sec too: a change that removes events per query speeds up
-// queries/s more than events/s.
+// queries/s more than events/s. A bench that repeats a seeded trial folds
+// the runs with FoldRepetitions: the writer then reports medians, each with
+// its interquartile range as `*_iqr`.
 //
 // Flags (parsed from main's argv; unknown flags are ignored so google-benchmark
 // style flags can coexist):
@@ -76,6 +78,9 @@ struct TrialRecord {
   double wall_ms = 0;    // wall-clock of the timed section; 0 = untimed
   uint64_t events = 0;   // simulator events executed; 0 = closed-form bench
   uint64_t queries = 0;  // queries completed in the timed section; 0 = not counted
+  // Every run's wall_ms when the trial was repeated (FoldRepetitions); then
+  // wall_ms is their median and the writer adds the interquartile ranges.
+  std::vector<double> wall_ms_runs;
 
   TrialRecord& Config(const std::string& name, double value) {
     config.emplace_back(name, value);
@@ -151,6 +156,15 @@ class BenchHarness {
 inline size_t EffectiveSimThreads(const Simulator& sim) {
   return sim.partitioned() ? sim.sim_threads() : 0;
 }
+
+// Folds repeated runs of one seeded trial into one record. The runs'
+// simulated results (label, config, metrics, events, queries) must be
+// identical — a fixed seed fixes them — and a mismatch is fatal. The record
+// keeps every run's wall-clock: wall_ms becomes the median, and the JSON
+// writer reports the median events_per_sec and queries_per_sec with a
+// `*_iqr` (interquartile range) beside each, so one noisy run cannot move
+// the number the perf gate compares.
+TrialRecord FoldRepetitions(std::vector<TrialRecord> runs);
 
 // RAII wall-clock scope for one trial's simulation section.
 class TrialTimer {

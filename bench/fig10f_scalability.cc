@@ -9,7 +9,9 @@
 // rack (ToR + servers), with the ToR<->spine propagation as lookahead —
 // this is the wall-clock speedup demo for the parallel simulator
 // (docs/PERFORMANCE.md, "Parallel DES"). Counters are schedule-independent,
-// so the DES metrics are identical for any --sim-threads value.
+// so the DES metrics are identical for any --sim-threads value. Each DES
+// trial runs 5 times; its JSON wall_ms, events_per_sec and queries_per_sec
+// are medians with a `*_iqr` beside each.
 //
 // Extra flags: --des-racks=N   run ONE DES trial at N racks (0 = default
 //                              sweep over {1, 4}; 16 is the speedup config)
@@ -52,10 +54,11 @@ MultiRackConfig Base(size_t racks, MultiRackMode mode) {
   return cfg;
 }
 
-// One packet-level trial of the leaf-spine fabric. Read-only (per §7.3),
+// One packet-level run of the leaf-spine fabric. Read-only (per §7.3),
 // spine caches warmed with the globally hottest keys, one open-loop driver
 // per spine client so no generator is shared across partitions.
-void RunDesTrial(bench::BenchHarness& harness, size_t racks, SimDuration duration) {
+bench::TrialRecord RunDesOnce(bench::BenchHarness& harness, size_t racks, SimDuration duration,
+                              bool print) {
   constexpr uint64_t kNumKeys = 10'000;
   constexpr size_t kWarmKeys = 64;
 
@@ -120,12 +123,14 @@ void RunDesTrial(bench::BenchHarness& harness, size_t racks, SimDuration duratio
   }
 
   double secs = static_cast<double>(duration) / 1e9;
-  std::printf("%-8zu %-8zu | DES %s over %.0f ms: spine hits %llu, server reads %llu "
-              "(sim-threads=%zu, %zu LPs)\n",
-              racks, racks * cfg.servers_per_rack, bench::Qps(completed / secs).c_str(),
-              secs * 1e3, static_cast<unsigned long long>(fabric.TotalSpineHits()),
-              static_cast<unsigned long long>(fabric.TotalServerReads()),
-              fabric.sim().sim_threads(), fabric.sim().num_lps());
+  if (print) {
+    std::printf("%-8zu %-8zu | DES %s over %.0f ms: spine hits %llu, server reads %llu "
+                "(sim-threads=%zu, %zu LPs)\n",
+                racks, racks * cfg.servers_per_rack, bench::Qps(completed / secs).c_str(),
+                secs * 1e3, static_cast<unsigned long long>(fabric.TotalSpineHits()),
+                static_cast<unsigned long long>(fabric.TotalServerReads()),
+                fabric.sim().sim_threads(), fabric.sim().num_lps());
+  }
   rec.Config("racks", static_cast<double>(racks))
       .Config("spines", static_cast<double>(cfg.num_spines))
       .Config("duration_ms", secs * 1e3)
@@ -145,7 +150,20 @@ void RunDesTrial(bench::BenchHarness& harness, size_t racks, SimDuration duratio
               windows > 0 ? static_cast<double>(fabric.sim().events_processed()) /
                                 static_cast<double>(windows)
                           : 0.0);
-  harness.AddTrialRecord(std::move(rec));
+  return rec;
+}
+
+// Every DES trial runs kDesRepetitions times: the simulated results must
+// repeat exactly, and the JSON carries the median wall-clock and rates with
+// their interquartile ranges (bench::FoldRepetitions).
+constexpr int kDesRepetitions = 5;
+
+void RunDesTrial(bench::BenchHarness& harness, size_t racks, SimDuration duration) {
+  std::vector<bench::TrialRecord> runs;
+  for (int i = 0; i < kDesRepetitions; ++i) {
+    runs.push_back(RunDesOnce(harness, racks, duration, /*print=*/i == 0));
+  }
+  harness.AddTrialRecord(bench::FoldRepetitions(std::move(runs)));
 }
 
 void Run(bench::BenchHarness& harness, size_t des_racks, SimDuration des_duration) {

@@ -6,7 +6,9 @@
 // before the zero-allocation rework (std::function events, swap-based sift)
 // while BM_EventQueue_InlineFunction drives the real Simulator; their ratio
 // is the events/sec speedup the rework bought. Run with
-// --benchmark_min_time=0.2 on older google-benchmark builds.
+// --benchmark_min_time=0.2 on older google-benchmark builds. The harness
+// trial EventQueue/workload_mix drives the same queue under the measured
+// schedule-ahead mix of the rack and fabric workloads (see its comment).
 
 #include <benchmark/benchmark.h>
 
@@ -658,6 +660,66 @@ void RunParallelDesTrials(bench::BenchHarness& harness) {
   }
 }
 
+// --- Event queue under the simulator's own schedule-ahead mix ---
+//
+// 32 self-rescheduling work chains (about the event_queue_peak of the
+// perfbench fabric_leafspine workload) draw each reschedule distance from
+// the schedule-ahead histogram measured on the rack and fabric workloads: a
+// third serialization/tx-done gaps under 128 ns, link hops of 0.4-1 us,
+// 800 ns switch emits and 5-20 us server service completions. 8 more chains
+// re-arm every 10 ms, like one reply timer per client: the far heap's
+// traffic. events_per_sec is the dispatch rate of the real Simulator queue,
+// closures included.
+struct MixChain {
+  Simulator* sim;
+  Rng* rng;
+  uint64_t* sink;
+  bool timer;
+  void Fire() {
+    *sink += sim->Now();
+    SimDuration d = 10 * kMillisecond;
+    if (!timer) {
+      const uint64_t r = rng->NextBounded(1000);
+      d = r < 330   ? 16 + rng->NextBounded(112)
+          : r < 630 ? 400 + rng->NextBounded(600)
+          : r < 800 ? 800
+                    : 5 * kMicrosecond + rng->NextBounded(15 * kMicrosecond);
+    }
+    sim->Schedule(d, [this] { Fire(); });
+  }
+};
+
+void RunEventQueueTrials(bench::BenchHarness& harness) {
+  constexpr int kWorkChains = 32;
+  constexpr int kTimerChains = 8;
+  constexpr uint64_t kEvents = 4'000'000;
+  auto& trial = harness.AddTrial("EventQueue/workload_mix");
+  trial.Config("work_chains", kWorkChains)
+      .Config("timer_chains", kTimerChains)
+      .Config("events", static_cast<double>(kEvents));
+  Simulator sim;
+  Rng rng(17);
+  uint64_t sink = 0;
+  std::vector<MixChain> chains;
+  for (int i = 0; i < kWorkChains + kTimerChains; ++i) {
+    chains.push_back(MixChain{&sim, &rng, &sink, /*timer=*/i >= kWorkChains});
+  }
+  for (MixChain& c : chains) {
+    sim.Schedule(rng.NextBounded(1000), [&c] { c.Fire(); });
+  }
+  {
+    bench::TrialTimer timer(&trial);
+    // 100 us slices hold about a thousand events each, so the RunUntil
+    // calls cost nothing next to the dispatch they bracket.
+    while (sim.events_processed() < kEvents) {
+      sim.RunUntil(sim.Now() + 100 * kMicrosecond);
+    }
+    timer.SetEvents(sim.events_processed());
+  }
+  trial.Metric("sim_time_ms", static_cast<double>(sim.Now()) / 1e6)
+      .Metric("checksum_mod_1e6", static_cast<double>(sink % 1'000'000));
+}
+
 }  // namespace
 }  // namespace netcache
 
@@ -668,6 +730,7 @@ int main(int argc, char** argv) {
   netcache::RunServerBurstTrials(harness);
   netcache::RunTableGroupProbeTrials(harness);
   netcache::RunParallelDesTrials(harness);
+  netcache::RunEventQueueTrials(harness);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

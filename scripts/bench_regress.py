@@ -4,7 +4,9 @@
 Every bench under bench/ accepts --json=PATH and writes
     {"bench": ..., "seed": ..., "config": {...}, "host": {...},
      "trials": [{"label", "config", "metrics", "wall_ms"?, "events"?,
-                 "events_per_sec"?, "queries"?, "queries_per_sec"?}, ...]}
+                 "events_per_sec"?, "queries"?, "queries_per_sec"?,
+                 "repetitions"?, "wall_ms_iqr"?, "events_per_sec_iqr"?,
+                 "queries_per_sec_iqr"?}, ...]}
 (see bench/bench_harness.h). This script diffs a candidate file against a
 baseline, matching trials by label and metrics by name:
 
@@ -24,7 +26,10 @@ default tolerance is tight; any |new - old| > tolerance * max(|old|, eps)
 is a regression. Wall-clock numbers (wall_ms, events_per_sec,
 queries_per_sec) vary with the machine and are only compared when --perf is
 given, against the looser --perf-tolerance, and only in the slower direction
-(faster is never flagged).
+(faster is never flagged). A trial the bench repeated (fig10f's DES trials
+run 5 times) writes the MEDIAN of its runs in those fields and the
+interquartile range beside each as `*_iqr`; the gate compares the medians
+and never the IQRs, so one noisy run cannot trip it.
 
 Documents also carry a top-level "host" object ({"build_type", "nproc",
 "cpu_model", "compiler"}). With --perf, two documents that both have one and

@@ -1,5 +1,7 @@
 #include "common/status.h"
 
+#include <ostream>
+
 namespace netcache {
 
 const char* StatusCodeName(StatusCode code) {
@@ -23,6 +25,8 @@ const char* StatusCodeName(StatusCode code) {
   }
   return "UNKNOWN";
 }
+
+std::ostream& operator<<(std::ostream& os, StatusCode code) { return os << StatusCodeName(code); }
 
 std::string Status::ToString() const {
   std::string s = StatusCodeName(code_);

@@ -6,6 +6,7 @@
 #ifndef NETCACHE_COMMON_STATUS_H_
 #define NETCACHE_COMMON_STATUS_H_
 
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <variant>
@@ -26,6 +27,10 @@ enum class StatusCode : int {
 };
 
 const char* StatusCodeName(StatusCode code);
+
+// Streams the code's name, so test failures and log lines read "NOT_FOUND"
+// rather than raw enum bytes (gtest picks this up for EXPECT_EQ messages).
+std::ostream& operator<<(std::ostream& os, StatusCode code);
 
 class Status {
  public:

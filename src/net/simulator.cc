@@ -30,7 +30,7 @@ Simulator::Simulator(size_t reserve_events) {
   legacy_ = &ctxs_[0];
   legacy_->sim = this;
   legacy_->index = 0;
-  legacy_->heap.reserve(reserve_events);
+  legacy_->queue.Reserve(reserve_events);
 }
 
 Simulator::~Simulator() { StopWorkers(); }
@@ -80,15 +80,15 @@ void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
 }
 
 void Simulator::Route(Ctx& from, Ctx& to, Event ev) {
-  // Inside a round each heap belongs to its own worker, so a cross-partition
+  // Inside a round each queue belongs to its own worker, so a cross-partition
   // event is staged into the producer's per-destination outbox bucket (this
   // round's parity side) and drained by the destination — or, for the global
   // stream, by the coordinator at the boundary. Merge order cannot matter:
-  // keys are a total order, and a binary heap's pop sequence depends only on
-  // its content set — which is also why --sim-threads=1 and =N produce
+  // keys are a total order, and an event queue's pop sequence depends only
+  // on its content set — which is also why --sim-threads=1 and =N produce
   // byte-identical schedules.
   if (!in_window_ || &from == &to) {
-    PushHeap(to, std::move(ev));
+    to.queue.Push(std::move(ev));
     return;
   }
   OutBucket& bucket = from.out[to.index];
@@ -136,7 +136,7 @@ bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
     Ctx& c = ctxs_.back();
     c.sim = this;
     c.index = static_cast<uint32_t>(i);
-    c.heap.reserve(kDefaultReserveEvents / 4);
+    c.queue.Reserve(kDefaultReserveEvents / 4);
     // Label the pool shard for the runtime ownership sanitizer: only the
     // thread executing LP i may acquire from / release into shard i.
     c.pool.set_owner_lp(c.index);
@@ -207,12 +207,12 @@ void Simulator::RunUntil(SimTime until) {
     return;
   }
   Ctx& c = *legacy_;
-  while (!c.heap.empty() && c.heap.front().time <= until) {
-    if (c.heap.front().time != c.now) {
+  while (!c.queue.empty() && c.queue.top().time <= until) {
+    if (c.queue.top().time != c.now) {
       SamplePeak(c);
     }
     // Move the event out before running so the handler may schedule freely.
-    Event ev = PopHeap(c);
+    Event ev = c.queue.Pop();
     c.now = ev.time;
     ++c.events;
     DispatchIn(c, ev, coalesce_);
@@ -228,11 +228,11 @@ void Simulator::RunAll() {
     return;
   }
   Ctx& c = *legacy_;
-  while (!c.heap.empty()) {
-    if (c.heap.front().time != c.now) {
+  while (!c.queue.empty()) {
+    if (c.queue.top().time != c.now) {
       SamplePeak(c);
     }
-    Event ev = PopHeap(c);
+    Event ev = c.queue.Pop();
     c.now = ev.time;
     ++c.events;
     DispatchIn(c, ev, coalesce_);
@@ -253,14 +253,13 @@ void Simulator::RunWindowed(SimTime until) {
       SimTime t0 = kNeverTime;
       for (size_t i = 1; i < ctxs_.size(); ++i) {
         const Ctx& c = ctxs_[i];
-        SimTime t = c.heap.empty() ? kNeverTime : c.heap.front().time;
-        next_[i] = std::min(t, mail_min_[i]);
+        next_[i] = std::min(c.queue.next_time(), mail_min_[i]);
         t0 = std::min(t0, next_[i]);
       }
-      tg = ctxs_[0].heap.empty() ? kNeverTime : ctxs_[0].heap.front().time;
+      tg = ctxs_[0].queue.next_time();
       t0 = std::min(t0, tg);
       if (t0 == kNeverTime || t0 > until) {
-        // Leave every event in a heap so PendingEvents and a later RunUntil
+        // Leave every event in a queue so PendingEvents and a later RunUntil
         // see canonical state.
         DrainAllMail();
         exit_loop = true;
@@ -330,7 +329,7 @@ void Simulator::CollectOutboxes() {
       std::vector<Event>& side = bucket.ev[parity_];
       if (dest == 0) {
         // Global mail is delivered here: the coordinator owns the global
-        // heap between rounds, and serial instants must see it. The sender
+        // queue between rounds, and serial instants must see it. The sender
         // contract (delay >= global lookahead) guarantees it lands beyond
         // everything any LP has executed.
         for (Event& ev : side) {
@@ -340,7 +339,7 @@ void Simulator::CollectOutboxes() {
               << " ns; LP-context global schedules must carry at least the "
                  "global lookahead (SetGlobalLookahead / control-plane "
                  "latency), or run with --sim-threads=0";
-          PushHeap(ctxs_[0], std::move(ev));
+          ctxs_[0].queue.Push(std::move(ev));
         }
         side.clear();
       } else if (mail_min_[dest] == kNeverTime ||
@@ -388,7 +387,7 @@ bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
       horizon = std::min(horizon, nj + d);
     }
     bool mail = mail_min_[i] != kNeverTime;
-    bool work = !c.heap.empty() && c.heap.front().time < horizon;
+    bool work = c.queue.next_time() < horizon;
     if (!mail && !work) {
       continue;  // idle LP: skips the round entirely, no stall spin
     }
@@ -413,9 +412,9 @@ bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
 }
 
 void Simulator::DrainAllMail() {
-  // Deliver every undelivered outbox event into its destination heap (both
+  // Deliver every undelivered outbox event into its destination queue (both
   // sides; at most one is nonempty per bucket). Coordinator-only, between
-  // rounds: before serial instants — whose handlers may inspect any heap —
+  // rounds: before serial instants — whose handlers may inspect any queue —
   // and at run exit.
   NC_LP_CHECK_COORDINATOR("Simulator::DrainAllMail");
   for (Ctx& c : ctxs_) {
@@ -434,7 +433,7 @@ void Simulator::DrainAllMail() {
               << " ns; cross-partition schedules must carry at least the "
                  "link-path propagation distance (run with --sim-threads=0 "
                  "if the workload cannot)";
-          PushHeap(to, std::move(ev));
+          to.queue.Push(std::move(ev));
         }
         side.clear();
       }
@@ -447,7 +446,7 @@ void Simulator::DrainAllMail() {
 }
 
 void Simulator::RunSerialInstant(SimTime t) {
-  // Drain every event at exactly `t`, across all heaps, in (key) order.
+  // Drain every event at exactly `t`, across all queues, in (key) order.
   // Handlers may schedule more events at `t` (into any partition — no round
   // is active); the rescan picks them up in canonical order.
   ProfScope prof(ProfCat::kSerialFence);
@@ -455,10 +454,10 @@ void Simulator::RunSerialInstant(SimTime t) {
   for (;;) {
     Ctx* best = nullptr;
     for (Ctx& c : ctxs_) {
-      if (c.heap.empty() || c.heap.front().time != t) {
+      if (c.queue.next_time() != t) {
         continue;
       }
-      if (best == nullptr || c.heap.front().key < best->heap.front().key) {
+      if (best == nullptr || c.queue.top().key < best->queue.top().key) {
         best = &c;
       }
     }
@@ -468,7 +467,7 @@ void Simulator::RunSerialInstant(SimTime t) {
     if (best->now != t) {
       SamplePeak(*best);
     }
-    Event ev = PopHeap(*best);
+    Event ev = best->queue.Pop();
     best->now = t;
     ++best->events;
     ++executed;
@@ -524,7 +523,7 @@ void Simulator::RunLpWindow(Ctx& lp) {
   lp::ScopedExecutor lp_exec(lp.index);
   DrainInbox(lp);
   const SimTime wend = lp.wend;
-  if (lp.heap.empty() || lp.heap.front().time >= wend) {
+  if (lp.queue.next_time() >= wend) {
     // Participated (mail forced the turn) but nothing executable below the
     // horizon. Counted (sim metric + profiler histogram bin 0) but never
     // timed — stalls are too cheap to clock.
@@ -537,14 +536,14 @@ void Simulator::RunLpWindow(Ctx& lp) {
     ProfScope prof(ProfCat::kLpExecute, lp.index);
     uint64_t before = lp.events;
     do {
-      if (lp.heap.front().time != lp.now) {
+      if (lp.queue.top().time != lp.now) {
         SamplePeak(lp);
       }
-      Event ev = PopHeap(lp);
+      Event ev = lp.queue.Pop();
       lp.now = ev.time;
       ++lp.events;
       DispatchIn(lp, ev, coalesce_);
-    } while (!lp.heap.empty() && lp.heap.front().time < wend);
+    } while (lp.queue.next_time() < wend);
     prof.set_arg(lp.events - before);
   }
   tls_ctx_ = prev;
@@ -552,7 +551,7 @@ void Simulator::RunLpWindow(Ctx& lp) {
 
 void Simulator::DrainInbox(Ctx& lp) {
   // Merge last round's mail addressed to this LP — the outbox side producers
-  // are NOT writing this round — into the local heap. Runs on the LP's own
+  // are NOT writing this round — into the local queue. Runs on the LP's own
   // lane, so the coordinator's boundary section no longer pays O(events)
   // merge work. Mail always lands at or beyond the destination's horizon;
   // the check against lp.now is the exact causality condition and fires
@@ -576,7 +575,7 @@ void Simulator::DrainInbox(Ctx& lp) {
              "link-path propagation distance (run with --sim-threads=0 if "
              "the workload cannot)";
       ++merged;
-      PushHeap(lp, std::move(ev));
+      lp.queue.Push(std::move(ev));
     }
     mail.clear();
   }
@@ -680,13 +679,13 @@ void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
     // later timestamp, another destination — ends the batch, which is what
     // makes burst processing output-equivalent to the sequential schedule
     // (see the header comment). In parallel mode a node's deliveries all land
-    // in its own LP heap, so LP-local adjacency is global adjacency.
-    while (!c.heap.empty()) {
-      const Event& front = c.heap.front();
+    // in its own LP queue, so LP-local adjacency is global adjacency.
+    while (!c.queue.empty()) {
+      const Event& front = c.queue.top();
       if (!front.is_delivery || front.time != c.now || front.del.node != first.node) {
         break;
       }
-      Event next = PopHeap(c);
+      Event next = c.queue.Pop();
       c.events += RecWeight(next.del);  // each coalesced delivery still counts
       c.batch.push_back(next.del);
     }
@@ -753,10 +752,10 @@ void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
 size_t Simulator::PendingEvents() const {
   size_t n = 0;
   for (const Ctx& c : ctxs_) {
-    n += c.heap.size() + c.heap_extra;
+    n += c.queue.size();
     for (const OutBucket& bucket : c.out) {
       // Outbox mail is rare enough to weigh per event (burst records count
-      // as their group size, matching the heap accounting above).
+      // as their group size, matching the queue accounting above).
       for (const std::vector<Event>& side : bucket.ev) {
         for (const Event& ev : side) {
           n += ev.is_delivery ? RecWeight(ev.del) : 1;
@@ -799,55 +798,202 @@ uint64_t Simulator::event_queue_peak() const {
   return peak;
 }
 
-void Simulator::PushHeap(Ctx& c, Event ev) {
-  if (ev.is_delivery && ev.del.burst != nullptr) {
-    c.heap_extra += ev.del.burst->entries.size() - 1;
+uint64_t Simulator::queue_sorted_inserts() const {
+  uint64_t n = 0;
+  for (const Ctx& c : ctxs_) {
+    n += c.queue.sorted_inserts();
   }
-  std::vector<Event>& q = c.heap;
-  // Hole-style sift-up: one move per level instead of the three a swap costs.
-  // Most new events land at a leaf (later timestamps), so test once before
-  // paying for the temporary.
-  q.push_back(std::move(ev));
-  size_t hole = q.size() - 1;
-  if (hole == 0 || !q[hole].Before(q[(hole - 1) / 2])) {
-    return;
-  }
-  Event tmp = std::move(q[hole]);
-  do {
-    size_t parent = (hole - 1) / 2;
-    q[hole] = std::move(q[parent]);
-    hole = parent;
-  } while (hole > 0 && tmp.Before(q[(hole - 1) / 2]));
-  q[hole] = std::move(tmp);
+  return n;
 }
 
-Simulator::Event Simulator::PopHeap(Ctx& c) {
-  std::vector<Event>& q = c.heap;
-  Event top = std::move(q.front());
-  if (top.is_delivery && top.del.burst != nullptr) {
-    c.heap_extra -= top.del.burst->entries.size() - 1;
+void Simulator::EventQueue::Reserve(size_t capacity) {
+  slab_.reserve(capacity);
+  free_.reserve(capacity);
+  far_.reserve(capacity);
+}
+
+uint32_t Simulator::EventQueue::Store(Event ev) {
+  if (free_.empty()) {
+    slab_.push_back(std::move(ev));
+    return static_cast<uint32_t>(slab_.size() - 1);
   }
-  size_t n = q.size() - 1;
+  uint32_t idx = free_.back();
+  free_.pop_back();
+  slab_[idx] = std::move(ev);
+  return idx;
+}
+
+void Simulator::EventQueue::Push(Event ev) {
+  if (ev.is_delivery && ev.del.burst != nullptr) {
+    extra_ += ev.del.burst->entries.size() - 1;
+  }
+  const SimTime t = ev.time;
+  const uint32_t idx = Store(std::move(ev));
+  // Anything outside [base, base + kSlots) goes to the far heap. An event
+  // below base cannot come from a causal schedule; the heap still orders it.
+  const bool in_wheel = t >= base_ && t - base_ < kSlots;
+  if (in_wheel) {
+    WheelInsert(idx);
+  } else {
+    FarPush(FarEntry{t, slab_[idx].key, idx});
+  }
+  if (size_++ == 0 || slab_[idx].Before(slab_[top_])) {
+    top_ = idx;
+    top_far_ = !in_wheel;
+  }
+}
+
+void Simulator::EventQueue::WheelInsert(uint32_t idx) {
+  ++wheel_size_;
+  const size_t s = slab_[idx].time & kMask;
+  const size_t w = s >> 6;
+  const uint64_t bit = uint64_t{1} << (s & 63);
+  if ((bits_[w] & bit) == 0) {
+    bits_[w] |= bit;
+    bits_[kWords + (w >> 6)] |= uint64_t{1} << (w & 63);
+    heads_[s] = idx;
+    slab_[idx].tail = idx;
+    return;
+  }
+  Event& head = slab_[heads_[s]];
+  if (slab_[head.tail].key < slab_[idx].key) {
+    slab_[head.tail].link = idx;
+    head.tail = idx;
+    return;
+  }
+  SortedInsert(heads_[s], idx);
+}
+
+void Simulator::EventQueue::SortedInsert(uint32_t& head, uint32_t idx) {
+  // The slot's tail key exceeds ours (keys are unique), so the walk below
+  // stops before running off the list.
+  ++sorted_inserts_;
+  const uint64_t key = slab_[idx].key;
+  if (key < slab_[head].key) {
+    slab_[idx].link = head;
+    slab_[idx].tail = slab_[head].tail;
+    head = idx;
+    return;
+  }
+  uint32_t prev = head;
+  while (slab_[slab_[prev].link].key < key) {
+    prev = slab_[prev].link;
+  }
+  slab_[idx].link = slab_[prev].link;
+  slab_[prev].link = idx;
+}
+
+Simulator::Event Simulator::EventQueue::Pop() {
+  const uint32_t idx = top_;
+  Event& e = slab_[idx];
+  if (top_far_) {
+    FarPop();
+  } else {
+    // The top is its slot's head: a slot is kept in key order.
+    --wheel_size_;
+    const size_t s = e.time & kMask;
+    if (e.tail == idx) {
+      const size_t w = s >> 6;
+      bits_[w] &= ~(uint64_t{1} << (s & 63));
+      if (bits_[w] == 0) {
+        bits_[kWords + (w >> 6)] &= ~(uint64_t{1} << (w & 63));
+      }
+    } else {
+      heads_[s] = e.link;
+      slab_[e.link].tail = e.tail;
+    }
+  }
+  if (e.time > base_) {
+    base_ = e.time;
+  }
+  Event out = std::move(e);
+  free_.push_back(idx);
+  if (out.is_delivery && out.del.burst != nullptr) {
+    extra_ -= out.del.burst->entries.size() - 1;
+  }
+  if (--size_ != 0) {
+    FindTop();
+  }
+  return out;
+}
+
+void Simulator::EventQueue::FindTop() {
+  uint32_t best = kNone;
+  bool far = false;
+  if (wheel_size_ != 0) {
+    // Every wheel event lies in [base, base + kSlots), so the first occupied
+    // slot at or circularly after base's holds the earliest of them.
+    best = heads_[FindSlot(base_ & kMask)];
+  }
+  if (!far_.empty() &&
+      (best == kNone ||
+       FarBefore(far_[0], FarEntry{slab_[best].time, slab_[best].key, best}))) {
+    best = far_[0].slot;
+    far = true;
+  }
+  top_ = best;
+  top_far_ = far;
+}
+
+size_t Simulator::EventQueue::FindSlot(size_t from) const {
+  const size_t w = from >> 6;
+  const uint64_t m = bits_[w] & (~uint64_t{0} << (from & 63));
+  if (m != 0) {
+    return (w << 6) | static_cast<size_t>(__builtin_ctzll(m));
+  }
+  size_t word = FindWord(w + 1);
+  if (word == kWords) {
+    word = FindWord(0);  // wrap around; the caller guarantees a set bit
+  }
+  return (word << 6) | static_cast<size_t>(__builtin_ctzll(bits_[word]));
+}
+
+size_t Simulator::EventQueue::FindWord(size_t from) const {
+  if (from >= kWords) {
+    return kWords;
+  }
+  const uint64_t* summary = bits_.get() + kWords;
+  size_t sw = from >> 6;
+  uint64_t m = summary[sw] & (~uint64_t{0} << (from & 63));
+  while (m == 0) {
+    if (++sw == kSummaryWords) {
+      return kWords;
+    }
+    m = summary[sw];
+  }
+  return (sw << 6) | static_cast<size_t>(__builtin_ctzll(m));
+}
+
+void Simulator::EventQueue::FarPush(const FarEntry& e) {
+  // Hole-style sift-up: one 24-byte move per level.
+  far_.push_back(e);
+  size_t hole = far_.size() - 1;
+  while (hole > 0 && FarBefore(e, far_[(hole - 1) / 2])) {
+    far_[hole] = far_[(hole - 1) / 2];
+    hole = (hole - 1) / 2;
+  }
+  far_[hole] = e;
+}
+
+void Simulator::EventQueue::FarPop() {
+  const FarEntry last = far_.back();
+  far_.pop_back();
+  const size_t n = far_.size();
   if (n == 0) {
-    q.pop_back();
-    return top;
+    return;
   }
-  // Hole-style sift-down of the displaced last element.
-  Event tmp = std::move(q.back());
-  q.pop_back();
   size_t hole = 0;
   size_t left = 1;
   while (left < n) {
-    size_t smallest = (left + 1 < n && q[left + 1].Before(q[left])) ? left + 1 : left;
-    if (!q[smallest].Before(tmp)) {
+    size_t child = (left + 1 < n && FarBefore(far_[left + 1], far_[left])) ? left + 1 : left;
+    if (!FarBefore(far_[child], last)) {
       break;
     }
-    q[hole] = std::move(q[smallest]);
-    hole = smallest;
+    far_[hole] = far_[child];
+    hole = child;
     left = 2 * hole + 1;
   }
-  q[hole] = std::move(tmp);
-  return top;
+  far_[hole] = last;
 }
 
 }  // namespace netcache

@@ -9,9 +9,12 @@
 // Hot-path design (the per-event cost bounds every packet-level experiment):
 //   - events hold an InlineFunction, so closures up to kInlineFunctionBytes
 //     capture bytes never touch the heap (std::function allocated per event);
-//   - each queue is an explicit binary heap over a reservable vector, so a
-//     steady-state run performs zero queue allocations and pops move events
-//     out instead of copying them (std::priority_queue::top forces a copy);
+//   - each stream's queue is a calendar queue (EventQueue below): a wheel of
+//     one-nanosecond slots over the next 2^15 ns, found through an
+//     occupancy bitmap, plus a small binary heap of 24-byte index entries
+//     for events beyond that window. Events sit in a reservable slab and are
+//     moved once in and once out, so a steady-state run performs zero queue
+//     allocations and no per-level 96-byte moves;
 //   - a per-partition PacketPool recycles the Packet buffers that in-flight
 //     closures reference (see net/packet_pool.h);
 //   - packet deliveries are typed events (DeliveryRec in a union with the
@@ -30,7 +33,7 @@
 // do) is therefore output-equivalent.
 //
 // Parallel mode (ConfigurePartitions): nodes are labeled with a logical
-// process (LP) via Node::set_lp; each LP owns its own event heap, packet pool
+// process (LP) via Node::set_lp; each LP owns its own event queue, packet pool
 // shard and event-sequence counter. Every event carries a canonical 64-bit
 // key = (stream << 48) | local_seq, where stream 0 is the global/legacy
 // stream and stream i is LP i; (time, key) is a total order over all events,
@@ -41,14 +44,14 @@
 //   - serial instants: whenever the earliest pending event lives in the
 //     global stream (controllers, pollers, invariant checkers), the
 //     coordinator drains every event at exactly that timestamp — from all
-//     heaps, in canonical key order — on one thread. Global events may touch
+//     queues, in canonical key order — on one thread. Global events may touch
 //     any node, so they serialize the whole simulation for their instant.
 //     Because the global stream now only bounds windows when a global event
 //     is actually due (plus the t0+G cap below), an idle control plane costs
 //     no fences at all.
 //   - adaptive rounds (per-LP horizons, null-message-free Chandy–Misra-style
 //     conservative sync): with next_j the earliest pending event time of LP j
-//     (heap front or undelivered cross-LP mail addressed to j, whichever is
+//     (queue top or undelivered cross-LP mail addressed to j, whichever is
 //     earlier), every LP i gets its own safe horizon
 //
 //         horizon_i = min( tg,                      // next global event
@@ -73,11 +76,11 @@
 // Cross-partition events produced inside a round are buffered in per-
 // (source, destination) outbox buckets, double-buffered by round parity: the
 // producer appends to this round's side while the destination drains the
-// previous round's side into its own heap at the start of its next turn —
+// previous round's side into its own queue at the start of its next turn —
 // so the coordinator's boundary section only skims bucket minima (O(LPs)),
 // not every staged event. An LP with pending mail always participates in the
 // next round, which is what bounds every bucket's lifetime to one round per
-// side. Because keys are a total order, a binary heap's pop sequence depends
+// side. Because keys are a total order, an event queue's pop sequence depends
 // only on its content set, so merge order is irrelevant and the parallel run
 // is byte-identical to the same round schedule on one thread
 // (--sim-threads=1).
@@ -104,6 +107,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <new>
 #include <thread>
 #include <utility>
@@ -143,6 +147,14 @@ class Simulator {
   // captures inside the budget by pooling bulky payloads (packet_pool()).
   using EventFn = InlineFunction<void()>;
 
+  // The event queue's wheel covers the 2^kEventWheelBits ns after the last
+  // dispatched instant; anything scheduled further ahead waits in a small
+  // far heap (see EventQueue). 2^15 ns = 32.8 us covers link hops, switch
+  // emits and the 5-20 us server service completions that make up almost
+  // every schedule-ahead distance in the rack and fabric workloads; only
+  // reply timers and control-plane ticks go far. Public for tests.
+  static constexpr int kEventWheelBits = 15;
+
   // A packet delivery as plain data instead of a closure: the dispatcher
   // needs to see through delivery events to coalesce them, and a struct it
   // can inspect is also cheaper than a captured lambda. `link`/`from_end`/
@@ -163,7 +175,7 @@ class Simulator {
     EgressBurst* burst = nullptr;
   };
 
-  // `reserve_events` pre-sizes the event heap; steady-state runs should never
+  // `reserve_events` pre-sizes the event queue; steady-state runs should never
   // grow it. The default comfortably covers a busy single-rack simulation.
   explicit Simulator(size_t reserve_events = kDefaultReserveEvents);
   ~Simulator();
@@ -273,9 +285,9 @@ class Simulator {
   }
   void ReleaseEgressBurst(EgressBurst* g) { cur()->burst_free.push_back(g); }
 
-  // Grows the global event heap to hold at least `capacity` pending events
+  // Grows the global event queue to hold at least `capacity` pending events
   // without reallocating mid-run.
-  void ReserveEvents(size_t capacity) { ctxs_[0].heap.reserve(capacity); }
+  void ReserveEvents(size_t capacity) { ctxs_[0].queue.Reserve(capacity); }
 
   // Runs events until every queue is empty or simulated time would exceed
   // `until`. Events at exactly `until` are executed.
@@ -285,7 +297,13 @@ class Simulator {
   void RunAll();
 
   size_t PendingEvents() const;
-  size_t EventCapacity() const { return ctxs_[0].heap.capacity(); }
+  size_t EventCapacity() const { return ctxs_[0].queue.capacity(); }
+
+  // Pushes, summed over every stream, that arrived below their wheel slot's
+  // tail key and took the event queue's sorted-insert path (see
+  // EventQueue). Always 0 for an unpartitioned run: one stream's keys are
+  // pushed in increasing order.
+  uint64_t queue_sorted_inserts() const;
 
   // Total events executed since construction. Deterministic for a fixed seed,
   // so benches report it as their work measure (events/sec). Every delivery
@@ -326,6 +344,12 @@ class Simulator {
     SimTime time;
     uint64_t key;  // (stream << kStreamShift) | per-stream sequence
     bool is_delivery;
+    // EventQueue's intrusive slot list: the slab index of the next event in
+    // the same wheel slot, and — meaningful only in a slot's head — of the
+    // slot's tail. Both sit in padding, so they cost no space. Moves carry
+    // them: a growing slab relocates pending events.
+    uint32_t link = 0;
+    uint32_t tail = 0;
     union {
       EventFn fn;       // active when !is_delivery
       DeliveryRec del;  // active when is_delivery
@@ -338,7 +362,11 @@ class Simulator {
         : time{t}, key(k), is_delivery(true), del(d) {}
 
     Event(Event&& other) noexcept
-        : time{other.time}, key(other.key), is_delivery(other.is_delivery) {
+        : time{other.time},
+          key(other.key),
+          is_delivery(other.is_delivery),
+          link(other.link),
+          tail(other.tail) {
       if (is_delivery) {
         ::new (&del) DeliveryRec(other.del);
       } else {
@@ -351,6 +379,8 @@ class Simulator {
         time = other.time;
         key = other.key;
         is_delivery = other.is_delivery;
+        link = other.link;
+        tail = other.tail;
         if (is_delivery) {
           ::new (&del) DeliveryRec(other.del);
         } else {
@@ -367,7 +397,7 @@ class Simulator {
       }
     }
 
-    // Min-heap order: earliest time first, canonical key within one instant.
+    // Queue order: earliest time first, canonical key within one instant.
     // With a single stream the key degenerates to insertion sequence (FIFO).
     bool Before(const Event& other) const {
       if (time != other.time) {
@@ -375,6 +405,96 @@ class Simulator {
       }
       return key < other.key;
     }
+  };
+
+  // One stream's pending events, popped in (time, key) order: a calendar
+  // queue. Events live in a slab and are moved once in (Push) and once out
+  // (Pop); the ordering structures hold only slab indices.
+  //   - Wheel: kSlots one-nanosecond slots covering [base, base + kSlots),
+  //     where base is the last popped time. A slot is a FIFO (intrusive list
+  //     through Event::link, its tail kept in the head's Event::tail, so the
+  //     wheel itself is one 4-byte head per slot) found through a two-level
+  //     occupancy bitmap.
+  //     Every event in a slot has the same timestamp (two times in the
+  //     window that share a slot are equal), so a slot's list only has to be
+  //     in key order. Within one stream keys come from a monotone counter,
+  //     so a push appends at the tail; an arrival whose key is below the
+  //     tail's (cross-partition mail, a global event scheduling into an LP)
+  //     takes the counted sorted-insert slow path instead.
+  //   - Far heap: a binary heap of 24-byte {time, key, slot} entries for
+  //     events at or beyond base + kSlots when pushed (reply timers,
+  //     controller and poller ticks). A far event is never migrated into the
+  //     wheel; it waits in the heap even after the window reaches it.
+  //   - Top: the earliest event overall is the smaller, by (time, key), of
+  //     the first occupied wheel slot's head (circular bitmap scan from
+  //     base) and the far heap's top. It is kept current by every Push and
+  //     Pop, so peeking is a load.
+  // The pop sequence therefore depends only on the set of (time, key) pairs
+  // pushed, exactly as a binary heap's did — which is what keeps merge order
+  // in the parallel dispatcher irrelevant.
+  class EventQueue {
+   public:
+    static constexpr size_t kSlots = size_t{1} << kEventWheelBits;
+
+    // Slot heads are left uninitialized: they are read only where an
+    // occupancy bit is set, so untouched slots cost no resident memory.
+    EventQueue()
+        : heads_(new uint32_t[kSlots]), bits_(new uint64_t[kWords + kSummaryWords]()) {}
+
+    bool empty() const { return size_ == 0; }
+    // Pending count in per-packet record weight: a burst record counts as
+    // its whole transmit group (see RecWeight in simulator.cc).
+    size_t size() const { return size_ + extra_; }
+    // Earliest pending time, kNeverTime when empty.
+    SimTime next_time() const { return size_ == 0 ? kNeverTime : slab_[top_].time; }
+    // Earliest pending event; valid until the next Push or Pop.
+    const Event& top() const { return slab_[top_]; }
+
+    void Push(Event ev);
+    Event Pop();  // requires !empty()
+
+    void Reserve(size_t capacity);
+    size_t capacity() const { return slab_.capacity(); }
+    // Pushes that could not append at their slot's tail.
+    uint64_t sorted_inserts() const { return sorted_inserts_; }
+
+   private:
+    static constexpr size_t kMask = kSlots - 1;
+    static constexpr size_t kWords = kSlots / 64;         // slot bitmap words
+    static constexpr size_t kSummaryWords = kWords / 64;  // word bitmap words
+    static constexpr uint32_t kNone = ~uint32_t{0};
+
+    struct FarEntry {
+      SimTime time;
+      uint64_t key;
+      uint32_t slot;  // slab index
+    };
+    static bool FarBefore(const FarEntry& a, const FarEntry& b) {
+      return a.time != b.time ? a.time < b.time : a.key < b.key;
+    }
+
+    uint32_t Store(Event ev);
+    void WheelInsert(uint32_t idx);
+    void SortedInsert(uint32_t& head, uint32_t idx);
+    void FarPush(const FarEntry& e);
+    void FarPop();
+    size_t FindSlot(size_t from) const;
+    size_t FindWord(size_t from) const;
+    void FindTop();
+
+    std::vector<Event> slab_;
+    std::vector<uint32_t> free_;  // recycled slab indices, LIFO
+    std::vector<FarEntry> far_;   // binary min-heap
+    std::unique_ptr<uint32_t[]> heads_;  // per slot, valid while its bit is set
+    std::unique_ptr<uint64_t[]> bits_;  // kWords slot-occupancy words, then
+                                        // kSummaryWords nonzero-word words
+    SimTime base_ = 0;
+    uint32_t top_ = kNone;   // slab index of the earliest event
+    bool top_far_ = false;   // whether it sits in the far heap
+    size_t size_ = 0;        // records pending
+    size_t wheel_size_ = 0;  // records pending in the wheel
+    uint64_t extra_ = 0;     // burst records' weight beyond one each
+    uint64_t sorted_inserts_ = 0;
   };
 
   // One per-(source, destination) cross-partition mail bucket, double-
@@ -398,11 +518,11 @@ class Simulator {
     NC_LP_OWNED SimTime now = 0;
     NC_LP_OWNED uint64_t next_lseq = 0;
     NC_LP_OWNED uint64_t events = 0;
-    NC_LP_OWNED uint64_t peak = 0;    // max heap size, sampled at timestamp advances
+    NC_LP_OWNED uint64_t peak = 0;    // max queue size, sampled at timestamp advances
     NC_LP_OWNED uint64_t stalls = 0;  // participating rounds with no local work
     NC_LP_OWNED uint64_t bursts = 0;
     NC_LP_OWNED uint64_t burst_pkts = 0;
-    NC_LP_OWNED std::vector<Event> heap;  // explicit binary min-heap
+    NC_LP_OWNED EventQueue queue;
     // Cross-partition mail produced inside a round, one bucket per
     // destination ctx index. The producing stream owns this round's parity
     // side; each destination drains its own bucket's other side (see
@@ -420,12 +540,6 @@ class Simulator {
     NC_LP_OWNED std::vector<DeliveryRec> batch;
     NC_LP_OWNED std::vector<BurstArrival> arrivals;
     NC_LP_OWNED PacketPool pool;
-    // Extra event weight carried by burst records currently in `heap`
-    // (entries.size() - 1 each): heap.size() + heap_extra is the pending
-    // count the per-packet record format would have, which keeps
-    // event_queue_peak and PendingEvents identical across the egress-batch
-    // legs. Maintained by PushHeap/PopHeap.
-    NC_LP_OWNED uint64_t heap_extra = 0;
     // Transmit-group buffer pool shard (see AcquireEgressBurst). The arena
     // owns storage — pointer-stable, freed wholesale at destruction, so a
     // group still sitting in a queue at teardown leaks nothing. The freelist
@@ -443,11 +557,6 @@ class Simulator {
     std::atomic<uint32_t> count{0};
     uint32_t expect = 0;
   };
-
-  // Heap primitives operate on c.heap and keep c.heap_extra in sync with the
-  // burst records passing through (see Ctx::heap_extra).
-  static void PushHeap(Ctx& c, Event ev);
-  static Event PopHeap(Ctx& c);
 
   // The executing context: the global stream unless a round worker or a
   // serial-instant dispatch installed an LP on this thread. The sim match
@@ -484,7 +593,7 @@ class Simulator {
   void WorkerMain(size_t slot);
   void BarrierArrive(size_t worker, uint64_t epoch);
   void SamplePeak(Ctx& c) {
-    size_t sz = c.heap.size() + c.heap_extra;
+    size_t sz = c.queue.size();
     if (sz > c.peak) {
       c.peak = sz;
     }

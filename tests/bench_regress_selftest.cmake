@@ -6,7 +6,9 @@
 # metric regression, and exit 1 with closest-label suggestions when a
 # baseline trial label is missing from the candidate (the renamed-trial
 # case), and a --perf comparison refused when the two documents' "host"
-# fingerprints differ while a model-only comparison still passes.
+# fingerprints differ while a model-only comparison still passes; for a
+# repeated trial, a planted 2x slowdown of the median fails --perf at the
+# default tolerance while a wider interquartile range alone does not.
 
 set(DIR ${WORK_DIR}/bench_regress_selftest)
 file(MAKE_DIRECTORY ${DIR})
@@ -120,4 +122,47 @@ endif()
 string(FIND "${out}" "queries_per_sec" idx)
 if(idx EQUAL -1)
   message(FATAL_ERROR "queries_per_sec regression not named:\n${out}")
+endif()
+
+file(WRITE ${DIR}/reps.json [=[
+{"bench": "fixture", "seed": 1,
+ "host": {"build_type": "Release", "nproc": 4, "cpu_model": "cpu", "compiler": "GNU 13"},
+ "trials": [{"label": "des", "metrics": {"completed": 10.0}, "repetitions": 5,
+             "wall_ms": 100.0, "wall_ms_iqr": 8.0,
+             "events_per_sec": 1000.0, "events_per_sec_iqr": 80.0,
+             "queries_per_sec": 100.0, "queries_per_sec_iqr": 8.0}]}
+]=])
+file(WRITE ${DIR}/reps_noisy.json [=[
+{"bench": "fixture", "seed": 1,
+ "host": {"build_type": "Release", "nproc": 4, "cpu_model": "cpu", "compiler": "GNU 13"},
+ "trials": [{"label": "des", "metrics": {"completed": 10.0}, "repetitions": 5,
+             "wall_ms": 100.0, "wall_ms_iqr": 90.0,
+             "events_per_sec": 1000.0, "events_per_sec_iqr": 900.0,
+             "queries_per_sec": 100.0, "queries_per_sec_iqr": 90.0}]}
+]=])
+file(WRITE ${DIR}/reps_slow.json [=[
+{"bench": "fixture", "seed": 1,
+ "host": {"build_type": "Release", "nproc": 4, "cpu_model": "cpu", "compiler": "GNU 13"},
+ "trials": [{"label": "des", "metrics": {"completed": 10.0}, "repetitions": 5,
+             "wall_ms": 200.0, "wall_ms_iqr": 8.0,
+             "events_per_sec": 500.0, "events_per_sec_iqr": 40.0,
+             "queries_per_sec": 50.0, "queries_per_sec_iqr": 4.0}]}
+]=])
+
+execute_process(
+  COMMAND ${PYTHON} ${REGRESS} --perf ${DIR}/reps.json ${DIR}/reps_noisy.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "same medians with a wider IQR should exit 0, got ${rc}:\n${out}\n${err}")
+endif()
+
+execute_process(
+  COMMAND ${PYTHON} ${REGRESS} --perf ${DIR}/reps.json ${DIR}/reps_slow.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "a 2x slower median should fail --perf, got ${rc}:\n${out}\n${err}")
+endif()
+string(FIND "${out}" "wall_ms" idx)
+if(idx EQUAL -1)
+  message(FATAL_ERROR "median slowdown not named:\n${out}")
 endif()

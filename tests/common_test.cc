@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -283,6 +284,14 @@ TEST(StatusTest, FactoryAndToString) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.ToString(), "NOT_FOUND: missing");
   EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted), "RESOURCE_EXHAUSTED");
+}
+
+TEST(StatusTest, CodePrintsItsName) {
+  // A failed EXPECT_EQ on two codes prints them through this path.
+  EXPECT_EQ(::testing::PrintToString(StatusCode::kNotFound), "NOT_FOUND");
+  std::ostringstream os;
+  os << StatusCode::kUnavailable;
+  EXPECT_EQ(os.str(), "UNAVAILABLE");
 }
 
 TEST(ResultTest, HoldsValue) {

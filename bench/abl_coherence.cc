@@ -33,9 +33,8 @@ struct Outcome {
   double wall_ms = 0;
 };
 
-Outcome RunMode(bench::BenchHarness& harness, CoherenceMode mode) {
+Outcome RunMode(CoherenceMode mode) {
   RackConfig cfg;
-  cfg.sim_threads = harness.sim_threads();
   cfg.num_servers = 4;
   cfg.num_clients = 1;
   cfg.switch_config.num_pipes = 1;
@@ -50,7 +49,6 @@ Outcome RunMode(bench::BenchHarness& harness, CoherenceMode mode) {
   // controller re-insertion is visible.
   cfg.controller_config.control_op_latency = 10 * kMillisecond;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
   rack.Populate(1000, 64);
   rack.WarmCache({K(1)});
   rack.StartController();
@@ -106,9 +104,9 @@ void Run(bench::BenchHarness& harness) {
   };
   std::vector<Outcome> outcomes =
       RunSweep(rows, harness.sweep_options(),
-               [&harness](const Row& row, uint64_t /*seed*/, size_t /*index*/) {
+               [](const Row& row, uint64_t /*seed*/, size_t /*index*/) {
         auto start = std::chrono::steady_clock::now();
-        Outcome o = RunMode(harness, row.mode);
+        Outcome o = RunMode(row.mode);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         o.wall_ms = elapsed.count();

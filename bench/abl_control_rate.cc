@@ -27,10 +27,9 @@ struct HotInResult {
   double wall_ms = 0;
 };
 
-std::vector<double> RunHotIn(bench::BenchHarness& harness, SimDuration control_op_latency,
+std::vector<double> RunHotIn(SimDuration control_op_latency,
                              uint64_t* events_out) {
   RackConfig cfg;
-  cfg.sim_threads = harness.sim_threads();
   cfg.num_servers = 8;
   cfg.num_clients = 1;
   cfg.switch_config.num_pipes = 1;
@@ -45,7 +44,6 @@ std::vector<double> RunHotIn(bench::BenchHarness& harness, SimDuration control_o
   cfg.controller_config.control_op_latency = control_op_latency;
   cfg.controller_config.stats_epoch = 1 * kSecond;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
   rack.Populate(kNumKeys, 128);
 
   WorkloadConfig wl;
@@ -96,10 +94,10 @@ void Run(bench::BenchHarness& harness) {
                                               10 * kMillisecond, 50 * kMillisecond};
   std::vector<HotInResult> results =
       RunSweep(latencies, harness.sweep_options(),
-               [&harness](SimDuration latency, uint64_t /*seed*/, size_t /*index*/) {
+               [](SimDuration latency, uint64_t /*seed*/, size_t /*index*/) {
         auto start = std::chrono::steady_clock::now();
         HotInResult r;
-        r.bins = RunHotIn(harness, latency, &r.events);
+        r.bins = RunHotIn(latency, &r.events);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         r.wall_ms = elapsed.count();

@@ -86,8 +86,6 @@ BenchHarness::BenchHarness(int argc, char** argv, std::string name)
   profile_out_ = args.GetString("profile-out", "");
   seed_ = static_cast<uint64_t>(args.GetInt("seed", 42));
   threads_ = static_cast<size_t>(args.GetInt("threads", 0));
-  sim_threads_ = static_cast<size_t>(args.GetInt("sim-threads", 0));
-  effective_sim_threads_.store(sim_threads_, std::memory_order_relaxed);
   serial_ = args.GetBool("serial", false);
   egress_batch_ = !args.GetBool("no-egress-batch", false);
   if (args.GetBool("no-simd", false)) {
@@ -148,18 +146,11 @@ int BenchHarness::Finish() const {
   w.Field("bench", name_);
   w.Field("seed", seed_);
   // Run configuration. bench_regress.py hard-errors when two documents
-  // disagree here: wall-clock (and, for --sim-threads, tie-break schedules)
-  // are not comparable across threading setups, and scalar-vs-SIMD numbers
-  // are different codepaths entirely.
+  // disagree here: wall-clock is not comparable across threading setups,
+  // and scalar-vs-SIMD numbers are different codepaths entirely.
   w.Name("config");
   w.BeginObject();
   w.Field("threads", static_cast<uint64_t>(threads_));
-  w.Field("sim_threads", static_cast<uint64_t>(sim_threads_));
-  // What the DES trials actually ran with (zero-lookahead topologies fall
-  // back to the serial dispatcher); equals sim_threads unless a bench
-  // reported otherwise via RecordEffectiveSimThreads.
-  w.Field("sim_threads_effective",
-          static_cast<uint64_t>(effective_sim_threads_.load(std::memory_order_relaxed)));
   w.Field("serial", serial_ ? 1 : 0);
   // "avx2" | "scalar" — the SIMD dispatch level the trials ran at (lowered
   // by --no-simd / NETCACHE_SIMD=OFF / a non-AVX2 host).

@@ -19,8 +19,6 @@
 //   --seed=N           root seed for randomized benches (default 42)
 //   --threads=N        worker threads for ParallelSweep-driven benches
 //   --serial           force serial trial execution
-//   --sim-threads=N    parallel-DES threads inside each trial's simulator
-//                      (0 = serial dispatcher)
 //   --no-simd          force the scalar SIMD level for the whole process
 //                      (same effect as NETCACHE_SIMD=OFF in the environment)
 //   --no-egress-batch  ship multi-packet transmit groups as per-packet
@@ -33,14 +31,10 @@
 //   --profile-limit=N  timeline spans kept per recording thread
 //
 // The threading and SIMD knobs are recorded in the JSON's top-level "config"
-// object — including `sim_threads_effective`, which DES benches set to what
-// actually ran (RecordEffectiveSimThreads) when e.g. a zero-lookahead
-// topology forces the serial-dispatcher fallback, and `simd_level`
-// ("avx2" | "scalar"), the dispatch level the trials executed at.
-// scripts/bench_regress.py refuses to compare documents whose run configs
-// differ, so a parallel run can never be graded against a serial baseline
-// (or vice versa), nor an AVX2 run against a scalar one, nor against a run
-// whose parallel request silently degraded.
+// object — including `simd_level` ("avx2" | "scalar"), the dispatch level
+// the trials executed at. scripts/bench_regress.py refuses to compare
+// documents whose run configs differ, so an AVX2 run can never be graded
+// against a scalar one.
 //
 // A top-level "host" object records where the numbers were taken: build_type,
 // nproc, cpu_model and compiler. It is kept out of "config" on purpose: model
@@ -53,7 +47,6 @@
 #ifndef NETCACHE_BENCH_BENCH_HARNESS_H_
 #define NETCACHE_BENCH_BENCH_HARNESS_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -64,7 +57,6 @@
 
 #include "common/profiler.h"
 #include "core/sweep.h"
-#include "net/simulator.h"
 
 namespace netcache {
 namespace bench {
@@ -107,22 +99,9 @@ class BenchHarness {
     return opts;
   }
 
-  // Parallel-DES threads for each trial's own simulator (RackConfig/
-  // FabricConfig::sim_threads). Orthogonal to sweep_options(): --threads fans
-  // trials out, --sim-threads parallelizes inside one trial.
-  size_t sim_threads() const { return sim_threads_; }
-
   // Whether DES trials should let links ship transmit groups as burst
   // records (Simulator::set_egress_batching); --no-egress-batch clears it.
   bool egress_batching() const { return egress_batch_; }
-
-  // DES benches report the worker count their simulator actually used (see
-  // EffectiveSimThreads below) — 0 when the partitioned schedule fell back
-  // to the serial dispatcher. Thread-safe: trials may run on sweep workers.
-  // Defaults to the requested --sim-threads when never called.
-  void RecordEffectiveSimThreads(size_t effective) {
-    effective_sim_threads_.store(effective, std::memory_order_relaxed);
-  }
 
   // Adds a trial; the reference stays valid for the harness's lifetime
   // (records live in a deque, which never relocates existing elements).
@@ -141,21 +120,12 @@ class BenchHarness {
   std::string profile_out_;
   uint64_t seed_ = 42;
   size_t threads_ = 0;
-  size_t sim_threads_ = 0;
-  std::atomic<size_t> effective_sim_threads_{0};
   bool serial_ = false;
   bool egress_batch_ = true;
   std::deque<TrialRecord> trials_;
   // Destroyed after every trial's simulator (trials are function-local).
   std::unique_ptr<Profiler> profiler_;
 };
-
-// The worker count a configured simulator actually runs with: 0 when the
-// partitioned schedule is off (never configured, or the zero-lookahead
-// fallback rejected it at ConfigurePartitions time).
-inline size_t EffectiveSimThreads(const Simulator& sim) {
-  return sim.partitioned() ? sim.sim_threads() : 0;
-}
 
 // Folds repeated runs of one seeded trial into one record. The runs'
 // simulated results (label, config, metrics, events, queries) must be

@@ -30,9 +30,8 @@ struct Point {
   double wall_ms;
 };
 
-Point RunPoint(bench::BenchHarness& harness, bool cache_enabled, double rate_qps) {
+Point RunPoint(bool cache_enabled, double rate_qps) {
   RackConfig cfg;
-  cfg.sim_threads = harness.sim_threads();
   cfg.num_servers = 16;
   cfg.num_clients = 1;
   cfg.cache_enabled = cache_enabled;
@@ -47,7 +46,6 @@ Point RunPoint(bench::BenchHarness& harness, bool cache_enabled, double rate_qps
   cfg.client_template.reply_timeout = 50 * kMillisecond;
 
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
   constexpr uint64_t kNumKeys = 20'000;
   rack.Populate(kNumKeys, 128);
 
@@ -111,9 +109,9 @@ void Run(bench::BenchHarness& harness) {
   }
   std::vector<Point> points =
       RunSweep(grid, harness.sweep_options(),
-               [&harness](const Trial& t, uint64_t /*seed*/, size_t /*index*/) {
+               [](const Trial& t, uint64_t /*seed*/, size_t /*index*/) {
         auto start = std::chrono::steady_clock::now();
-        Point p = RunPoint(harness, t.cache, t.rate);
+        Point p = RunPoint(t.cache, t.rate);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         p.wall_ms = elapsed.count();

@@ -4,21 +4,14 @@
 // "Scalability": simulation, read-only, switches absorb cached queries).
 //
 // A second leg runs the same leaf-spine topology as packet-level DES
-// (core/fabric.h) at a scaled-down size. These trials honour --sim-threads:
-// the fabric partitions into one LP per spine (+ its client) and one per
-// rack (ToR + servers), with the ToR<->spine propagation as lookahead —
-// this is the wall-clock speedup demo for the parallel simulator
-// (docs/PERFORMANCE.md, "Parallel DES"). Counters are schedule-independent,
-// so the DES metrics are identical for any --sim-threads value. Each DES
-// trial runs 5 times; its JSON wall_ms, events_per_sec and queries_per_sec
-// are medians with a `*_iqr` beside each.
+// (core/fabric.h) at a scaled-down size. Each DES trial runs 5 times; its
+// JSON wall_ms, events_per_sec and queries_per_sec are medians with a
+// `*_iqr` beside each.
 //
 // Extra flags: --des-racks=N   run ONE DES trial at N racks (0 = default
-//                              sweep over {1, 4}; 16 is the speedup config)
+//                              sweep over {1, 4}; 16 is the largest config
+//                              docs/PERFORMANCE.md times)
 //              --des-duration-ms=M  simulated time per DES trial (default 200)
-//              --lp-checks     arm the LP-ownership sanitizer for the DES
-//                              trials (common/lp_ownership.h; CI's TSan leg
-//                              runs the 8-worker config with it on)
 
 #include <cstdio>
 #include <memory>
@@ -29,7 +22,6 @@
 #include "bench/bench_util.h"
 #include "client/workload_driver.h"
 #include "common/cli.h"
-#include "common/lp_ownership.h"
 #include "core/fabric.h"
 #include "core/multirack.h"
 #include "workload/generator.h"
@@ -56,7 +48,7 @@ MultiRackConfig Base(size_t racks, MultiRackMode mode) {
 
 // One packet-level run of the leaf-spine fabric. Read-only (per §7.3),
 // spine caches warmed with the globally hottest keys, one open-loop driver
-// per spine client so no generator is shared across partitions.
+// per spine client, each with its own decorrelated generator.
 bench::TrialRecord RunDesOnce(bench::BenchHarness& harness, size_t racks, SimDuration duration,
                               bool print) {
   constexpr uint64_t kNumKeys = 10'000;
@@ -75,13 +67,9 @@ bench::TrialRecord RunDesOnce(bench::BenchHarness& harness, size_t racks, SimDur
   }
   cfg.controller_config.cache_capacity = kWarmKeys;
   cfg.server_template.service_rate_qps = 200e3;
-  // Cross-rack fiber: 2 us of propagation on every ToR<->spine hop. Under
-  // --sim-threads this is the lookahead, so each window batches ~2 us of
-  // events per partition between barriers.
+  // Cross-rack fiber: 2 us of propagation on every ToR<->spine hop.
   cfg.fabric_propagation = 2 * kMicrosecond;
-  cfg.sim_threads = harness.sim_threads();
   Fabric fabric(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(fabric.sim()));
   fabric.Populate(kNumKeys, 128);
 
   // Per-client generators: same popularity law, decorrelated streams.
@@ -124,12 +112,10 @@ bench::TrialRecord RunDesOnce(bench::BenchHarness& harness, size_t racks, SimDur
 
   double secs = static_cast<double>(duration) / 1e9;
   if (print) {
-    std::printf("%-8zu %-8zu | DES %s over %.0f ms: spine hits %llu, server reads %llu "
-                "(sim-threads=%zu, %zu LPs)\n",
+    std::printf("%-8zu %-8zu | DES %s over %.0f ms: spine hits %llu, server reads %llu\n",
                 racks, racks * cfg.servers_per_rack, bench::Qps(completed / secs).c_str(),
                 secs * 1e3, static_cast<unsigned long long>(fabric.TotalSpineHits()),
-                static_cast<unsigned long long>(fabric.TotalServerReads()),
-                fabric.sim().sim_threads(), fabric.sim().num_lps());
+                static_cast<unsigned long long>(fabric.TotalServerReads()));
   }
   rec.Config("racks", static_cast<double>(racks))
       .Config("spines", static_cast<double>(cfg.num_spines))
@@ -139,17 +125,6 @@ bench::TrialRecord RunDesOnce(bench::BenchHarness& harness, size_t racks, SimDur
       .Metric("spine_hits", static_cast<double>(fabric.TotalSpineHits()))
       .Metric("tor_hits", static_cast<double>(fabric.TotalTorHits()))
       .Metric("server_reads", static_cast<double>(fabric.TotalServerReads()));
-  uint64_t windows = fabric.sim().windows_run();
-  uint64_t merged = 0;
-  for (size_t lp = 1; lp <= fabric.sim().num_lps(); ++lp) {
-    merged += fabric.sim().lp_windows_merged(lp);
-  }
-  rec.Metric("windows", static_cast<double>(windows))
-      .Metric("windows_merged", static_cast<double>(merged))
-      .Metric("avg_events_per_window",
-              windows > 0 ? static_cast<double>(fabric.sim().events_processed()) /
-                                static_cast<double>(windows)
-                          : 0.0);
   return rec;
 }
 
@@ -216,13 +191,6 @@ void Run(bench::BenchHarness& harness, size_t des_racks, SimDuration des_duratio
 int main(int argc, char** argv) {
   netcache::bench::BenchHarness harness(argc, argv, "fig10f_scalability");
   netcache::ArgParser args(argc, argv);
-  if (args.GetBool("lp-checks", false)) {
-#if NETCACHE_LP_CHECKS
-    netcache::lp::SetChecksEnabled(true);
-#else
-    std::fprintf(stderr, "--lp-checks ignored: built with -DNETCACHE_LP_CHECKS=OFF\n");
-#endif
-  }
   size_t des_racks = static_cast<size_t>(args.GetInt("des-racks", 0));
   netcache::SimDuration des_duration =
       static_cast<netcache::SimDuration>(args.GetInt("des-duration-ms", 200)) *

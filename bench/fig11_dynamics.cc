@@ -39,9 +39,8 @@ struct WorkloadResult {
   uint64_t events = 0;
 };
 
-WorkloadResult RunWorkload(bench::BenchHarness& harness, Churn churn) {
+WorkloadResult RunWorkload(Churn churn) {
   RackConfig cfg;
-  cfg.sim_threads = harness.sim_threads();
   cfg.num_servers = 8;
   cfg.num_clients = 1;
   cfg.switch_config.num_pipes = 1;
@@ -56,7 +55,6 @@ WorkloadResult RunWorkload(bench::BenchHarness& harness, Churn churn) {
   cfg.controller_config.control_op_latency = 100 * kMicrosecond;  // ~10K updates/s
   cfg.controller_config.stats_epoch = 1 * kSecond;                // §6
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
   rack.Populate(kNumKeys, 128);
 
   WorkloadConfig wl;
@@ -163,10 +161,10 @@ void Run(bench::BenchHarness& harness) {
   };
   std::vector<Timed> results =
       RunSweep(panels, harness.sweep_options(),
-               [&harness](const Panel& p, uint64_t /*seed*/, size_t /*index*/) {
+               [](const Panel& p, uint64_t /*seed*/, size_t /*index*/) {
         auto start = std::chrono::steady_clock::now();
         Timed t;
-        t.res = RunWorkload(harness, p.churn);
+        t.res = RunWorkload(p.churn);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         t.wall_ms = elapsed.count();

@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "bench/bench_harness.h"
-#include "client/workload_driver.h"
 #include "common/hash.h"
-#include "core/rack.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/zipf.h"
@@ -558,108 +556,6 @@ void RunTableGroupProbeTrials(bench::BenchHarness& harness) {
   NC_CHECK(scalar_acc == simd_acc);
 }
 
-// --- ParallelDes trials: one rack workload under the windowed partitioned
-// schedule with 1, 4 and 8 workers. The runs execute the exact same event
-// schedule by construction (staging and merge are used uniformly for every
-// --sim-threads >= 1), so every counter below must agree bit-for-bit —
-// checked here on each CI run. wall_ms/events feed the --perf gate like the
-// other trial groups, and the 1-vs-8 pair feeds bench_regress.py --scaling.
-
-struct ParallelDesOutcome {
-  uint64_t completed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t server_reads = 0;
-  uint64_t events = 0;
-  uint64_t windows = 0;
-  uint64_t windows_merged = 0;  // summed over LPs
-};
-
-ParallelDesOutcome RunParallelDesRack(size_t sim_threads, double* wall_sink,
-                                      bench::TrialRecord& trial) {
-  RackConfig cfg;
-  cfg.sim_threads = sim_threads;
-  cfg.num_servers = 8;
-  cfg.num_clients = 1;
-  cfg.switch_config.num_pipes = 1;
-  cfg.switch_config.cache_capacity = 1024;
-  cfg.switch_config.indexes_per_pipe = 1024;
-  cfg.switch_config.stats.counter_slots = 1024;
-  cfg.server_template.service_rate_qps = 100e3;
-  cfg.controller_config.cache_capacity = 64;
-  Rack rack(cfg);
-  constexpr uint64_t kKeys = 10'000;
-  rack.Populate(kKeys, 128);
-
-  WorkloadConfig wl;
-  wl.num_keys = kKeys;
-  wl.zipf_alpha = 0.99;
-  wl.write_ratio = 0.1;
-  wl.seed = 1234;
-  WorkloadGenerator gen(wl);
-  std::vector<Key> hot;
-  for (uint64_t id : gen.popularity().TopKeys(64)) {
-    hot.push_back(Key::FromUint64(id));
-  }
-  rack.WarmCache(hot);
-
-  DriverConfig dc;
-  dc.rate_qps = 300e3;
-  WorkloadDriver driver(&rack.sim(), &rack.client(0), &gen, rack.OwnerFn(), dc);
-  ParallelDesOutcome out;
-  {
-    bench::TrialTimer timer(&trial);
-    driver.Start();
-    rack.sim().RunUntil(100 * kMillisecond);
-    driver.Stop();
-    rack.sim().RunUntil(110 * kMillisecond);
-    timer.SetEvents(rack.sim().events_processed());
-  }
-  *wall_sink = trial.wall_ms;
-  out.completed = driver.completed();
-  out.cache_hits = rack.tor().counters().cache_hits;
-  for (size_t i = 0; i < rack.num_servers(); ++i) {
-    out.server_reads += rack.server(i).stats().reads;
-  }
-  out.events = rack.sim().events_processed();
-  out.windows = rack.sim().windows_run();
-  for (size_t lp = 1; lp <= rack.sim().num_lps(); ++lp) {
-    out.windows_merged += rack.sim().lp_windows_merged(lp);
-  }
-  return out;
-}
-
-void RunParallelDesTrials(bench::BenchHarness& harness) {
-  ParallelDesOutcome outcomes[3];
-  size_t idx = 0;
-  for (size_t st : {1ul, 4ul, 8ul}) {
-    auto& trial = harness.AddTrial("ParallelDes/sim_threads=" + std::to_string(st));
-    trial.Config("sim_threads", static_cast<double>(st));
-    double wall = 0;
-    outcomes[idx] = RunParallelDesRack(st, &wall, trial);
-    const ParallelDesOutcome& o = outcomes[idx];
-    trial.Metric("completed", static_cast<double>(o.completed))
-        .Metric("cache_hits", static_cast<double>(o.cache_hits))
-        .Metric("server_reads", static_cast<double>(o.server_reads))
-        .Metric("windows", static_cast<double>(o.windows))
-        .Metric("windows_merged", static_cast<double>(o.windows_merged))
-        .Metric("avg_events_per_window",
-                o.windows > 0 ? static_cast<double>(o.events) /
-                                    static_cast<double>(o.windows)
-                              : 0.0);
-    ++idx;
-  }
-  // The parallel-equivalence property, enforced on every run: worker count
-  // must never change results, round decomposition or merge decisions.
-  for (size_t i = 1; i < 3; ++i) {
-    NC_CHECK(outcomes[0].completed == outcomes[i].completed);
-    NC_CHECK(outcomes[0].cache_hits == outcomes[i].cache_hits);
-    NC_CHECK(outcomes[0].server_reads == outcomes[i].server_reads);
-    NC_CHECK(outcomes[0].events == outcomes[i].events);
-    NC_CHECK(outcomes[0].windows == outcomes[i].windows);
-    NC_CHECK(outcomes[0].windows_merged == outcomes[i].windows_merged);
-  }
-}
-
 // --- Event queue under the simulator's own schedule-ahead mix ---
 //
 // 32 self-rescheduling work chains (about the event_queue_peak of the
@@ -729,7 +625,6 @@ int main(int argc, char** argv) {
   netcache::RunBurstTrials(harness);
   netcache::RunServerBurstTrials(harness);
   netcache::RunTableGroupProbeTrials(harness);
-  netcache::RunParallelDesTrials(harness);
   netcache::RunEventQueueTrials(harness);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

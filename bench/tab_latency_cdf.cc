@@ -24,10 +24,9 @@ struct LatencyRun {
   double wall_ms = 0;
 };
 
-std::vector<uint64_t> CollectLatencies(bench::BenchHarness& harness, bool cache_enabled,
+std::vector<uint64_t> CollectLatencies(bool cache_enabled,
                                        double rate_qps, uint64_t* events_out) {
   RackConfig cfg;
-  cfg.sim_threads = harness.sim_threads();
   cfg.num_servers = 16;
   cfg.num_clients = 1;
   cfg.cache_enabled = cache_enabled;
@@ -39,7 +38,6 @@ std::vector<uint64_t> CollectLatencies(bench::BenchHarness& harness, bool cache_
   cfg.client_template.reply_timeout = 50 * kMillisecond;
   cfg.controller_config.cache_capacity = 64;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
   constexpr uint64_t kNumKeys = 100'000;
   rack.Populate(kNumKeys, 128);
 
@@ -96,10 +94,10 @@ void Run(bench::BenchHarness& harness) {
   const std::vector<bool> systems = {false, true};
   std::vector<LatencyRun> runs =
       RunSweep(systems, harness.sweep_options(),
-               [&harness](bool cached, uint64_t /*seed*/, size_t /*index*/) {
+               [](bool cached, uint64_t /*seed*/, size_t /*index*/) {
         auto start = std::chrono::steady_clock::now();
         LatencyRun run;
-        run.latencies = CollectLatencies(harness, cached, 100e3, &run.events);
+        run.latencies = CollectLatencies(cached, 100e3, &run.events);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         run.wall_ms = elapsed.count();

@@ -37,9 +37,8 @@ constexpr size_t kServers = 8;
 constexpr double kRate = 10e3;
 constexpr uint64_t kKeys = 20'000;
 
-Measured RunDes(bench::BenchHarness& harness, const Scenario& sc) {
+Measured RunDes(const Scenario& sc) {
   RackConfig cfg;
-  cfg.sim_threads = harness.sim_threads();
   cfg.num_servers = kServers;
   cfg.num_clients = 1;
   cfg.cache_enabled = sc.cache > 0;
@@ -52,7 +51,6 @@ Measured RunDes(bench::BenchHarness& harness, const Scenario& sc) {
   cfg.client_template.reply_timeout = 5 * kMillisecond;
   cfg.controller_config.cache_capacity = sc.cache > 0 ? sc.cache : 1;
   Rack rack(cfg);
-  harness.RecordEffectiveSimThreads(bench::EffectiveSimThreads(rack.sim()));
   rack.Populate(kKeys, 128);
 
   WorkloadConfig wl;
@@ -109,9 +107,9 @@ void Run(bench::BenchHarness& harness) {
   // The DES runs dominate the wall clock and are independent: fan them out.
   std::vector<Measured> des_runs =
       RunSweep(scenarios, harness.sweep_options(),
-               [&harness](const Scenario& sc, uint64_t /*seed*/, size_t /*index*/) {
+               [](const Scenario& sc, uint64_t /*seed*/, size_t /*index*/) {
         auto start = std::chrono::steady_clock::now();
-        Measured m = RunDes(harness, sc);
+        Measured m = RunDes(sc);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         m.wall_ms = elapsed.count();

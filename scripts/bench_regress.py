@@ -13,13 +13,6 @@ baseline, matching trials by label and metrics by name:
     python3 scripts/bench_regress.py BENCH_baseline.json new.json
     python3 scripts/bench_regress.py --tolerance 0.05 old.json new.json
     python3 scripts/bench_regress.py --perf --perf-tolerance 0.3 old.json new.json
-    python3 scripts/bench_regress.py --scaling micro.json
-
-With --scaling, a SINGLE document is inspected instead of diffing two: the
-'ParallelDes/sim_threads=1' and 'ParallelDes/sim_threads=8' trials (written
-by bench/micro_datastructures) must show the 8-worker run achieving at least
---scaling-factor times the 1-worker events_per_sec. This is a wall-clock
-gate; run it only on a machine with >= 8 cores (CI skips it otherwise).
 
 Model metrics (the "metrics" map) are deterministic for a fixed seed, so the
 default tolerance is tight; any |new - old| > tolerance * max(|old|, eps)
@@ -38,12 +31,10 @@ do not time the same thing. Model-metric comparisons ignore "host", so CI can
 grade a fresh run against a baseline taken elsewhere.
 
 Both documents may carry a top-level "config" object recording the run setup
-({"threads", "sim_threads", "sim_threads_effective", "serial", "simd_level",
-"egress_batch"}, written by bench_harness). When both sides have one and they
-disagree, the comparison is refused outright: wall-clock numbers are
-meaningless across threading setups, --sim-threads>=1 runs a different
-(windowed) event schedule than the legacy serial dispatcher, a "scalar"
-simd_level run exercises a different codepath than an "avx2" one (batched
+({"threads", "serial", "simd_level", "egress_batch"}, written by
+bench_harness). When both sides have one and they disagree, the comparison is
+refused outright: wall-clock numbers are meaningless across threading setups,
+a "scalar" simd_level run exercises a different codepath than an "avx2" one (batched
 digests/sketch probes and grouped table scans are bypassed entirely), and an
 egress_batch=0 run (--no-egress-batch) ships per-packet delivery records
 where the default ships one coalesced record per transmit group — same
@@ -102,44 +93,10 @@ def rel_delta(old, new):
     return (new - old) / max(abs(old), EPS)
 
 
-def scaling_check(path, factor):
-    """Single-document gate: 8-worker DES must out-run 1-worker by `factor`.
-
-    Matches trials by their sim_threads config rather than hard-coding the
-    label prefix count, so adding more worker-count trials to the bench never
-    breaks the gate.
-    """
-    doc = load(path)
-    rates = {}
-    for t in doc["trials"]:
-        if not t.get("label", "").startswith("ParallelDes/"):
-            continue
-        st = t.get("config", {}).get("sim_threads")
-        eps = t.get("events_per_sec")
-        if st is not None and eps:
-            rates[int(st)] = eps
-    if 1 not in rates or 8 not in rates:
-        sys.exit(f"bench_regress: {path} lacks ParallelDes sim_threads=1/=8 "
-                 f"trials with events_per_sec (found worker counts: "
-                 f"{sorted(rates) or 'none'})")
-    speedup = rates[8] / rates[1]
-    if speedup < factor:
-        print(f"bench_regress: FAIL — 8-worker DES speedup {speedup:.2f}x "
-              f"over 1 worker (events/s {rates[1]:g} -> {rates[8]:g}), "
-              f"required >= {factor:g}x")
-        return 1
-    print(f"bench_regress: OK — 8-worker DES speedup {speedup:.2f}x "
-          f"(events/s {rates[1]:g} -> {rates[8]:g}, required >= {factor:g}x)")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline", help="baseline JSON (e.g. BENCH_baseline.json); "
-                    "with --scaling, the single document to inspect")
-    ap.add_argument("candidate", nargs="?", default=None,
-                    help="candidate JSON from a fresh run (omitted with "
-                    "--scaling)")
+    ap.add_argument("baseline", help="baseline JSON (e.g. BENCH_baseline.json)")
+    ap.add_argument("candidate", help="candidate JSON from a fresh run")
     ap.add_argument(
         "--tolerance", type=float, default=0.01,
         help="relative tolerance for model metrics (default: %(default)s; "
@@ -152,22 +109,7 @@ def main():
         "--perf-tolerance", type=float, default=0.5,
         help="allowed relative slowdown for --perf comparisons "
         "(default: %(default)s)")
-    ap.add_argument(
-        "--scaling", action="store_true",
-        help="single-document mode: require the 8-worker ParallelDes trial "
-        "to reach --scaling-factor x the 1-worker events_per_sec")
-    ap.add_argument(
-        "--scaling-factor", type=float, default=2.0,
-        help="minimum 8-worker/1-worker events_per_sec ratio for --scaling "
-        "(default: %(default)s)")
     args = ap.parse_args()
-
-    if args.scaling:
-        if args.candidate is not None:
-            ap.error("--scaling takes a single JSON document")
-        return scaling_check(args.baseline, args.scaling_factor)
-    if args.candidate is None:
-        ap.error("candidate JSON is required (or pass --scaling)")
 
     base_doc = load(args.baseline)
     cand_doc = load(args.candidate)
@@ -178,7 +120,7 @@ def main():
             "bench_regress: run configs differ — refusing to compare.\n"
             f"  baseline  {args.baseline}: {json.dumps(base_cfg, sort_keys=True)}\n"
             f"  candidate {args.candidate}: {json.dumps(cand_cfg, sort_keys=True)}\n"
-            "  Re-run the candidate with the baseline's --threads/--sim-threads/"
+            "  Re-run the candidate with the baseline's --threads/"
             "--serial/--no-simd/--no-egress-batch flags (simd_level and "
             "egress_batch must match: scalar vs AVX2 and per-packet vs "
             "coalesced delivery are different codepaths).")

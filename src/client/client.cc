@@ -44,8 +44,7 @@ void Client::SendQuery(Packet pkt, ResponseCallback cb) {
 
 void Client::ArmTimer(SimTime at) {
   timer_armed_ = true;
-  // Node-affine: the timer belongs to this client's partition.
-  sim_->ScheduleAtFor(this, at, [this] { OnTimer(); });
+  sim_->ScheduleAt(at, [this] { OnTimer(); });
 }
 
 void Client::OnTimer() {

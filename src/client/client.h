@@ -18,7 +18,6 @@
 #include <string_view>
 
 #include "common/histogram.h"
-#include "common/lp_ownership.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/time_units.h"
@@ -103,22 +102,20 @@ class Client : public Node {
   void OnTimer();
   void ArmTimer(SimTime at);
 
-  // LP ownership: everything mutable is driven from this client's own events
-  // (queries, replies, the reply timer), all scheduled node-affine.
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED ClientConfig config_;
-  NC_LP_OWNED uint32_t next_seq_ = 1;
+  Simulator* sim_;
+  ClientConfig config_;
+  uint32_t next_seq_ = 1;
   // Sent queries in seq order: window_[i] holds seq first_seq_ + i, so
   // first_seq_ + window_.size() == next_seq_. reply_timeout is fixed, so
   // deadlines ascend with seq and one timer covers the whole window.
-  NC_LP_OWNED std::deque<Pending> window_;
-  NC_LP_OWNED uint32_t first_seq_ = 1;
-  NC_LP_OWNED size_t unanswered_ = 0;  // window_ entries still awaiting a reply
+  std::deque<Pending> window_;
+  uint32_t first_seq_ = 1;
+  size_t unanswered_ = 0;  // window_ entries still awaiting a reply
   // At most one timer event is pending. It is never later than the deadline
   // of the oldest unanswered query.
-  NC_LP_OWNED bool timer_armed_ = false;
-  NC_LP_OWNED ClientStats stats_;
-  NC_LP_OWNED Histogram latency_;
+  bool timer_armed_ = false;
+  ClientStats stats_;
+  Histogram latency_;
 };
 
 }  // namespace netcache

@@ -37,9 +37,7 @@ void WorkloadDriver::Start() {
   running_ = true;
   ScheduleNext();
   if (config_.adaptive) {
-    // Client-affine: a serial instant must not capture the adjust loop into
-    // the global stream under parallel DES.
-    sim_->ScheduleFor(client_, config_.adjust_interval, [this] { AdjustRate(); });
+    sim_->Schedule(config_.adjust_interval, [this] { AdjustRate(); });
   }
 }
 
@@ -53,9 +51,7 @@ void WorkloadDriver::ScheduleNext() {
   if (gap == 0) {
     gap = 1;
   }
-  // Client-affine: the send loop is the hottest self-rescheduling chain in
-  // the simulation and must run in the client's partition.
-  sim_->ScheduleFor(client_, gap, [this] {
+  sim_->Schedule(gap, [this] {
     if (!running_) {
       return;
     }
@@ -110,7 +106,7 @@ void WorkloadDriver::AdjustRate() {
   rate_trace_.Add(sim_->Now(), rate_qps_);
   window_sent_ = 0;
   window_failed_ = 0;
-  sim_->ScheduleFor(client_, config_.adjust_interval, [this] { AdjustRate(); });
+  sim_->Schedule(config_.adjust_interval, [this] { AdjustRate(); });
 }
 
 }  // namespace netcache

@@ -12,7 +12,6 @@
 #include <functional>
 
 #include "client/client.h"
-#include "common/lp_ownership.h"
 #include "common/time_units.h"
 #include "common/timeseries.h"
 #include "net/simulator.h"
@@ -64,24 +63,21 @@ class WorkloadDriver {
   void ScheduleNext();
   void AdjustRate();
 
-  // LP ownership: the driver's send loop and rate adjuster self-reschedule
-  // node-affine on its client (ScheduleFor), so its state lives in the
-  // client's LP.
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED Client* client_;
-  NC_LP_SHARED QuerySource source_;
-  NC_LP_SHARED std::function<IpAddress(const Key&)> owner_of_;
-  NC_LP_SHARED DriverConfig config_;
+  Simulator* sim_;
+  Client* client_;
+  QuerySource source_;
+  std::function<IpAddress(const Key&)> owner_of_;
+  DriverConfig config_;
 
-  NC_LP_FENCED bool running_ = false;  // Start/Stop happen outside events
-  NC_LP_OWNED double rate_qps_;
-  NC_LP_OWNED uint64_t sent_ = 0;
-  NC_LP_OWNED uint64_t completed_ = 0;
-  NC_LP_OWNED uint64_t failed_ = 0;
-  NC_LP_OWNED uint64_t window_sent_ = 0;
-  NC_LP_OWNED uint64_t window_failed_ = 0;
-  NC_LP_OWNED TimeSeries goodput_;
-  NC_LP_OWNED TimeSeries rate_trace_;
+  bool running_ = false;  // Start/Stop happen outside events
+  double rate_qps_;
+  uint64_t sent_ = 0;
+  uint64_t completed_ = 0;
+  uint64_t failed_ = 0;
+  uint64_t window_sent_ = 0;
+  uint64_t window_failed_ = 0;
+  TimeSeries goodput_;
+  TimeSeries rate_trace_;
 };
 
 }  // namespace netcache

@@ -1,8 +1,8 @@
 #include "common/profiler.h"
 
 #include <algorithm>
-#include <bit>
 #include <ostream>
+#include <string>
 
 #include "common/json_writer.h"
 #include "common/logging.h"
@@ -22,16 +22,8 @@ std::atomic<uint64_t> g_next_profiler_id{1};
 
 const char* ProfCatName(ProfCat cat) {
   switch (cat) {
-    case ProfCat::kLpExecute:
-      return "lp_execute";
-    case ProfCat::kBarrierWait:
-      return "barrier_wait";
-    case ProfCat::kMerge:
-      return "merge";
-    case ProfCat::kSerialFence:
-      return "serial_fence";
-    case ProfCat::kCoordinate:
-      return "coordinate";
+    case ProfCat::kExecute:
+      return "execute";
     case ProfCat::kSwitchDigest:
       return "switch_digest";
     case ProfCat::kSwitchMatchPeek:
@@ -48,26 +40,11 @@ const char* ProfCatName(ProfCat cat) {
   return "unknown";
 }
 
-namespace {
-
-// Events-per-window bin: 0 for a stalled window, otherwise 1 + floor(log2 n),
-// capped at the open-ended last bin.
-size_t WindowBinFor(uint64_t events, size_t num_bins) {
-  if (events == 0) {
-    return 0;
-  }
-  size_t bin = static_cast<size_t>(std::bit_width(events));  // 1 + floor(log2)
-  return std::min(bin, num_bins - 1);
-}
-
-}  // namespace
-
 Profiler::Profiler(const Options& options)
     : options_(options),
       id_(g_next_profiler_id.fetch_add(1, std::memory_order_relaxed)),
       t0_ns_(NowNs()),
-      lanes_(options.max_lanes),
-      lps_(options.max_lps) {
+      lanes_(options.max_lanes) {
   NC_CHECK(options.max_lanes >= 1) << "profiler needs at least one lane";
 }
 
@@ -91,8 +68,7 @@ Profiler::Lane* Profiler::LaneForThisThread() {
   return slot.lane;
 }
 
-void Profiler::RecordSpan(ProfCat cat, uint32_t lp, uint64_t start_ns, uint64_t end_ns,
-                          uint64_t arg) {
+void Profiler::RecordSpan(ProfCat cat, uint64_t start_ns, uint64_t end_ns, uint64_t arg) {
   Lane* lane = LaneForThisThread();
   if (lane == nullptr) {
     unassigned_drops_.fetch_add(1, std::memory_order_relaxed);
@@ -106,30 +82,10 @@ void Profiler::RecordSpan(ProfCat cat, uint32_t lp, uint64_t start_ns, uint64_t 
   agg.arg += arg;
   lane->first_ns = std::min(lane->first_ns, start);
   lane->last_ns = std::max(lane->last_ns, start + dur);
-  if (cat == ProfCat::kLpExecute) {
-    lane->window_events_bins[WindowBinFor(arg, kWindowBins)] += 1;
-    if (lp < lps_.size()) {
-      LpAgg& l = lps_[lp];
-      l.exec_ns += dur;
-      l.windows += 1;
-      l.events += arg;
-    }
-  }
   if (lane->spans.size() < options_.spans_per_lane) {
-    lane->spans.push_back(ProfSpanRecord{start, dur, arg, lp, static_cast<uint32_t>(cat)});
+    lane->spans.push_back(ProfSpanRecord{start, dur, arg, static_cast<uint32_t>(cat)});
   } else {
     lane->dropped += 1;
-  }
-}
-
-void Profiler::RecordWindowStall(uint32_t lp) {
-  Lane* lane = LaneForThisThread();
-  if (lane == nullptr) {
-    return;
-  }
-  lane->window_events_bins[0] += 1;
-  if (lp < lps_.size()) {
-    lps_[lp].stalls += 1;
   }
 }
 
@@ -154,27 +110,6 @@ uint64_t Profiler::spans_dropped() const {
   return n;
 }
 
-uint64_t Profiler::TickIfEnabled() {
-  return ProfilingEnabled() ? NowNs() : 0;
-}
-
-void Profiler::RecordSince(ProfCat cat, uint32_t lp, uint64_t start_ns, uint64_t arg) {
-  if (start_ns == 0) {
-    return;
-  }
-  Profiler* p = internal::g_profiler.load(std::memory_order_relaxed);
-  if (p != nullptr) {
-    p->RecordSpan(cat, lp, start_ns, NowNs(), arg);
-  }
-}
-
-void Profiler::CountWindowStall(uint32_t lp) {
-  Profiler* p = internal::g_profiler.load(std::memory_order_relaxed);
-  if (p != nullptr) {
-    p->RecordWindowStall(lp);
-  }
-}
-
 void Profiler::WriteChromeTrace(std::ostream& out) const {
   JsonWriter w(out);
   w.BeginObject();
@@ -182,8 +117,8 @@ void Profiler::WriteChromeTrace(std::ostream& out) const {
   w.Name("traceEvents");
   w.BeginArray();
   size_t used = lanes_used();
-  // Thread-name metadata first so Perfetto labels the rows. Lane 0 is the
-  // first recording thread — the coordinator in every current installer.
+  // Thread-name metadata first so Perfetto labels the rows; lane i is the
+  // i-th thread to record.
   for (size_t i = 0; i < used; ++i) {
     w.BeginObject();
     w.Field("ph", "M");
@@ -192,8 +127,7 @@ void Profiler::WriteChromeTrace(std::ostream& out) const {
     w.Field("tid", static_cast<uint64_t>(i));
     w.Name("args");
     w.BeginObject();
-    w.Field("name", i == 0 ? std::string("lane0 (coordinator)")
-                           : "lane" + std::to_string(i));
+    w.Field("name", "lane" + std::to_string(i));
     w.EndObject();
     w.EndObject();
   }
@@ -201,10 +135,10 @@ void Profiler::WriteChromeTrace(std::ostream& out) const {
     const Lane& lane = lanes_[i];
     for (const ProfSpanRecord& s : lane.spans) {
       ProfCat cat = static_cast<ProfCat>(s.cat);
-      bool des = s.cat < static_cast<uint32_t>(ProfCat::kSwitchDigest);
+      bool des = cat == ProfCat::kExecute;
       w.BeginObject();
       w.Field("name", ProfCatName(cat));
-      w.Field("cat", des ? "des" : "switch");
+      w.Field("cat", des ? "des" : "stage");
       w.Field("ph", "X");
       // Chrome trace timestamps are microseconds; fractional keeps ns.
       w.Field("ts", static_cast<double>(s.start_ns) / 1e3);
@@ -214,7 +148,6 @@ void Profiler::WriteChromeTrace(std::ostream& out) const {
       w.Name("args");
       w.BeginObject();
       if (des) {
-        w.Field("lp", static_cast<uint64_t>(s.lp));
         w.Field("events", s.arg);
       } else {
         w.Field("packets", s.arg);
@@ -229,7 +162,7 @@ void Profiler::WriteChromeTrace(std::ostream& out) const {
   // unknown top-level keys.
   w.Name("netcache");
   w.BeginObject();
-  w.Field("version", 1);
+  w.Field("version", 2);
   w.Field("spans_per_lane", static_cast<uint64_t>(options_.spans_per_lane));
   w.Field("spans_dropped", spans_dropped());
   w.Name("lanes");
@@ -255,28 +188,6 @@ void Profiler::WriteChromeTrace(std::ostream& out) const {
       w.EndObject();
     }
     w.EndObject();
-    w.Name("window_events_bins");
-    w.BeginArray();
-    for (uint64_t bin : lane.window_events_bins) {
-      w.Uint(bin);
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Name("lps");
-  w.BeginArray();
-  for (size_t lp = 0; lp < lps_.size(); ++lp) {
-    const LpAgg& l = lps_[lp];
-    if (l.windows == 0 && l.stalls == 0) {
-      continue;
-    }
-    w.BeginObject();
-    w.Field("lp", static_cast<uint64_t>(lp));
-    w.Field("exec_ns", l.exec_ns);
-    w.Field("windows", l.windows);
-    w.Field("events", l.events);
-    w.Field("stall_windows", l.stalls);
     w.EndObject();
   }
   w.EndArray();

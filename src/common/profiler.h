@@ -1,16 +1,14 @@
 // Low-overhead wall-clock profiler: scoped timers writing fixed-size
 // per-thread span buffers, exported as Chrome trace-event JSON (loadable in
 // Perfetto / chrome://tracing) plus an aggregate summary block that
-// tools/profile_report.py turns into a stall-attribution table.
+// tools/profile_report.py turns into an attribution table.
 //
-// Why this exists: the conservative parallel DES is barrier-bound (~2 events
-// per lookahead window on the 16-rack leaf-spine leg), and end-of-run counters
-// cannot say where the worker nanoseconds go. The profiler attributes every
-// span to one of a fixed set of categories — per-LP window execution, barrier
-// waits, cross-partition merges, global-stream serial fences, and the switch
-// Get pipeline's stages — so the scheduler work the ROADMAP points at can
-// start from a quantified baseline (docs/PERFORMANCE.md, "Where the
-// wall-clock goes").
+// Why this exists: end-of-run counters cannot say where the wall-clock
+// nanoseconds of a run go. The profiler attributes every span to one of a
+// fixed set of categories — the dispatcher's execute span (one per
+// Simulator::RunUntil / RunAll call) and, nested inside it, the switch Get
+// pipeline's stages, the server's service stages and the link's egress
+// flushes (docs/PERFORMANCE.md, "Where the wall-clock goes").
 //
 // Design rules, in order:
 //   1. Never perturb the simulation. The profiler reads the wall clock and
@@ -27,12 +25,12 @@
 //   3. Compile to nothing when disabled. With -DNETCACHE_DISABLE_PROFILING
 //      every ProfScope is an empty object; without it, an uninstalled
 //      profiler costs one relaxed atomic load per scope (the pointer is
-//      atomic — unlike the single-threaded trace recorder, DES window
-//      workers read it concurrently with Install/uninstall).
+//      atomic: parallel sweep trials read it concurrently with
+//      Install/uninstall).
 //
 // Ownership: the installer (tools/netcache_sim.cpp, bench/bench_harness.cc)
-// must keep the Profiler alive until after the simulator that recorded into
-// it is destroyed — a worker thread may still hold the pointer it loaded at
+// must keep the Profiler alive until every simulation that records into it
+// has finished — a sweep worker may still hold the pointer it loaded at
 // scope entry when the profiler is uninstalled.
 
 #ifndef NETCACHE_COMMON_PROFILER_H_
@@ -50,26 +48,22 @@
 
 namespace netcache {
 
-// Span categories. The first five are the parallel-DES buckets the
-// attribution table is defined over; the switch_* stages nest inside
-// lp_execute spans and are reported as a breakdown within execute, never
-// added to the wall-clock buckets (that would double-count).
+// Span categories. `execute` is the one wall-clock bucket the attribution
+// table is defined over; every other stage nests inside an execute span and
+// is reported as a breakdown within execute, never added to the wall-clock
+// bucket (that would double-count).
 enum class ProfCat : uint8_t {
-  kLpExecute = 0,    // one LP draining its heap inside a round
-  kBarrierWait = 1,  // coordinator or worker spinning at the round barrier
-  kMerge = 2,        // an LP draining last round's inbound cross-LP mail
-  kSerialFence = 3,  // global-stream serial instant (whole sim serialized)
-  kCoordinate = 4,   // round boundary: channel clocks, horizons, participants
-  kSwitchDigest = 5,      // switch Get stage 1: ingress key digest
-  kSwitchMatchPeek = 6,   // switch Get stage 2: cache lookup match + status
-  kSwitchValueServe = 7,  // switch Get stage 3: stats + value read + emit
-  kServerLookup = 8,      // server service: store lookup under the store mutex
-  kServerReply = 9,       // server service: in-place reply rewrite + send
-  kEgressFlush = 10,      // link: transmit-group close + delivery scheduling
+  kExecute = 0,           // the dispatcher draining its queue (one RunUntil/RunAll)
+  kSwitchDigest = 1,      // switch Get stage 1: ingress key digest
+  kSwitchMatchPeek = 2,   // switch Get stage 2: cache lookup match + status
+  kSwitchValueServe = 3,  // switch Get stage 3: stats + value read + emit
+  kServerLookup = 4,      // server service: store lookup under the store mutex
+  kServerReply = 5,       // server service: in-place reply rewrite + send
+  kEgressFlush = 6,       // link: transmit-group close + delivery scheduling
 };
-inline constexpr size_t kNumProfCats = 11;
+inline constexpr size_t kNumProfCats = 7;
 
-// Stable names used in the JSON output ("lp_execute", "barrier_wait", ...).
+// Stable names used in the JSON output ("execute", "switch_digest", ...).
 const char* ProfCatName(ProfCat cat);
 
 // One closed span on a lane's timeline. 32 bytes so a full lane stays cache-
@@ -79,7 +73,6 @@ struct ProfSpanRecord {
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
   uint64_t arg = 0;  // events dispatched / packets
-  uint32_t lp = 0;   // LP id for DES spans, 0 for global/switch spans
   uint32_t cat = 0;  // ProfCat
 };
 
@@ -91,8 +84,7 @@ class Profiler {
     size_t spans_per_lane = size_t{1} << 18;
     // Recording threads; a thread past the cap records nothing (counted).
     size_t max_lanes = 64;
-    // Per-LP execute accounting table, indexed by LP id; ids at or past the
-    // cap still count in the lane/category totals, just not per-LP.
+    // Unused; kept so perfbench/, which sets it, still compiles.
     size_t max_lps = 256;
   };
 
@@ -111,17 +103,10 @@ class Profiler {
   }
 
   // Appends one closed span [start_ns, end_ns) from the calling thread's
-  // lane. `arg` is the category's count tag (events dispatched for DES
-  // categories, packets for switch stages). Lock-free: each thread writes
-  // only its own lane; per-LP slots are written only by the thread that owns
-  // that LP's window (the simulator's barrier orders the handoff).
-  void RecordSpan(ProfCat cat, uint32_t lp, uint64_t start_ns, uint64_t end_ns,
-                  uint64_t arg);
-
-  // A lookahead window in which `lp` had no local event: counts into the
-  // events-per-window histogram (bin 0) and the LP's stall tally without
-  // reading the clock — stalled windows are too cheap to time individually.
-  void RecordWindowStall(uint32_t lp);
+  // lane. `arg` is the category's count tag (events dispatched for execute,
+  // packets for the nested stages). Lock-free: each thread writes only its
+  // own lane.
+  void RecordSpan(ProfCat cat, uint64_t start_ns, uint64_t end_ns, uint64_t arg);
 
   // Post-run accessors (call only after recording threads are quiescent).
   size_t lanes_used() const;
@@ -134,17 +119,6 @@ class Profiler {
   // aggregates from it so the report survives timeline truncation.
   void WriteChromeTrace(std::ostream& out) const;
 
-  // --- static helpers for call sites that cannot use a scope object ---
-
-  // Wall tick if a profiler is installed, 0 otherwise. Pair with
-  // RecordSince: the worker barrier spin captures the tick before parking
-  // and records only when woken by a new window (a spin that ends in
-  // shutdown is simulator teardown, not a barrier stall).
-  static uint64_t TickIfEnabled();
-  static void RecordSince(ProfCat cat, uint32_t lp, uint64_t start_ns,
-                          uint64_t arg = 0);
-  static void CountWindowStall(uint32_t lp);
-
  private:
   struct CatAgg {
     uint64_t ns = 0;
@@ -152,24 +126,12 @@ class Profiler {
     uint64_t arg = 0;
   };
 
-  // Events-per-window histogram bins: bin 0 = stalled window (0 events),
-  // bin k >= 1 covers [2^(k-1), 2^k) events, last bin is open-ended.
-  static constexpr size_t kWindowBins = 18;
-
   struct Lane {
     std::vector<ProfSpanRecord> spans;
     uint64_t dropped = 0;
     uint64_t first_ns = ~uint64_t{0};  // extent of recorded activity
     uint64_t last_ns = 0;
     std::array<CatAgg, kNumProfCats> cats{};
-    std::array<uint64_t, kWindowBins> window_events_bins{};
-  };
-
-  struct LpAgg {
-    uint64_t exec_ns = 0;
-    uint64_t windows = 0;  // windows with work (stalls counted separately)
-    uint64_t events = 0;
-    uint64_t stalls = 0;
   };
 
   // The calling thread's lane, acquired on first use; nullptr once max_lanes
@@ -189,21 +151,21 @@ class Profiler {
   const uint64_t id_;
   const uint64_t t0_ns_;
   std::vector<Lane> lanes_;
-  std::vector<LpAgg> lps_;
   // Lane registry: reg_mu_ serializes lane handout (each thread pays it once,
   // on its first span) and guards the count the serializer reads; the lanes
   // themselves stay lock-free — after registration a Lane is written by
-  // exactly one thread, and the window barrier orders it for the serializer.
+  // exactly one thread, and the serializer runs after recording threads are
+  // joined.
   mutable Mutex reg_mu_;
   size_t lane_count_ NC_GUARDED_BY(reg_mu_) = 0;
   std::atomic<uint64_t> unassigned_drops_{0};  // spans from threads past max_lanes
 };
 
 namespace internal {
-// Atomic, unlike the trace recorder's plain pointer: DES window workers load
-// it concurrently with the main thread's Install/uninstall. Relaxed is
-// enough — span visibility to the serializer is ordered by the simulator's
-// window barrier, not by this pointer.
+// Atomic, unlike the trace recorder's plain pointer: parallel sweep trials
+// load it concurrently with the main thread's Install/uninstall. Relaxed is
+// enough — span visibility to the serializer is ordered by joining the
+// recording threads, not by this pointer.
 extern std::atomic<Profiler*> g_profiler;
 }  // namespace internal
 
@@ -226,15 +188,13 @@ inline bool ProfilingEnabled() {
 // -DNETCACHE_DISABLE_PROFILING it is empty.
 class ProfScope {
  public:
-  explicit ProfScope(ProfCat cat, uint32_t lp = 0) {
+  explicit ProfScope(ProfCat cat) {
 #ifdef NETCACHE_DISABLE_PROFILING
     (void)cat;
-    (void)lp;
 #else
     prof_ = internal::g_profiler.load(std::memory_order_relaxed);
     if (prof_ != nullptr) {
       cat_ = cat;
-      lp_ = lp;
       start_ns_ = Profiler::NowNs();
     }
 #endif
@@ -243,7 +203,7 @@ class ProfScope {
   ~ProfScope() {
 #ifndef NETCACHE_DISABLE_PROFILING
     if (prof_ != nullptr) {
-      prof_->RecordSpan(cat_, lp_, start_ns_, Profiler::NowNs(), arg_);
+      prof_->RecordSpan(cat_, start_ns_, Profiler::NowNs(), arg_);
     }
 #endif
   }
@@ -265,8 +225,7 @@ class ProfScope {
   Profiler* prof_ = nullptr;
   uint64_t start_ns_ = 0;
   uint64_t arg_ = 0;
-  ProfCat cat_ = ProfCat::kLpExecute;
-  uint32_t lp_ = 0;
+  ProfCat cat_ = ProfCat::kExecute;
 #endif
 };
 

@@ -1,9 +1,8 @@
 // Clang thread-safety-analysis annotations (no-ops elsewhere) and a tiny
 // annotated Mutex/MutexLock pair built on std::mutex.
 //
-// Simulator state is single-writer by the LP-ownership design (see
-// common/lp_ownership.h), but several substrates are specified as
-// concurrently accessible and are exercised by real threads in tests and the
+// Simulator state is single-threaded (one serial dispatcher per Simulator),
+// but several substrates are specified as concurrently accessible and are exercised by real threads in tests and the
 // TSan CI leg:
 //   - kvstore/sharded_store.h: one mutex per shard (per-core sharding, §6)
 //   - server/storage_server.*: the KV store is reachable from both the

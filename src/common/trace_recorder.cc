@@ -6,8 +6,6 @@
 #include <ostream>
 #include <string>
 
-#include "common/lp_ownership.h"
-
 namespace netcache {
 
 namespace {
@@ -39,17 +37,13 @@ TraceRecorder::TraceRecorder(size_t capacity) : capacity_(capacity) {
 }
 
 void TraceRecorder::Record(const SpanRecord& record) {
-  // Stamp the producing stream (executing LP; 0 for the coordinator and
-  // serial instants) and its per-stream ordinal. Per-stream order is the
-  // LP's own execution order, which is deterministic at every worker count.
+  // Stamp the record's stream (always 0: one serial dispatcher) and its
+  // ordinal in execution order.
   SpanRecord stamped = record;
-  stamped.stream = lp::CurrentLp();
+  stamped.stream = 0;
   MutexLock lock(mu_);
   ++recorded_;
-  if (stamped.stream >= stream_seq_.size()) {
-    stream_seq_.resize(stamped.stream + 1, 0);
-  }
-  stamped.seq = stream_seq_[stamped.stream]++;
+  stamped.seq = next_seq_++;
   if (capacity_ == 0) {
     return;
   }
@@ -98,14 +92,12 @@ void TraceRecorder::Clear() {
   MutexLock lock(mu_);
   ring_.clear();
   recorded_ = 0;
-  stream_seq_.clear();
+  next_seq_ = 0;
 }
 
 void TraceRecorder::WriteJsonl(std::ostream& out) const {
   MutexLock lock(mu_);
-  // Canonical order: the ring's arrival order interleaves streams however
-  // the workers raced, but (t, stream, seq) is a schedule-independent total
-  // order over the surviving records.
+  // Canonical (t, stream, seq) order over the surviving records.
   std::vector<SpanRecord> events = EventsLocked();
   std::sort(events.begin(), events.end(),
             [](const SpanRecord& a, const SpanRecord& b) {

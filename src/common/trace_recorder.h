@@ -56,12 +56,10 @@ struct SpanRecord {
   TraceEvent event = TraceEvent::kClientSend;
   uint32_t node = 0;   // IP of the component that recorded the event
   uint64_t detail = 0;  // event-specific (e.g. OpCode, queue depth)
-  // Stamped by Record(): the event stream that produced the record (the
-  // executing LP, 0 for the coordinator / serial instants) and the record's
-  // ordinal within that stream. Together with `time` they define the
-  // canonical output order WriteJsonl emits — per-stream order is the LP's
-  // own deterministic execution order, so the sorted trace is byte-identical
-  // at every --sim-threads value.
+  // Stamped by Record(): the event stream that produced the record (always
+  // 0: the simulator has one serial dispatcher) and the record's ordinal in
+  // execution order. Together with `time` they define the canonical output
+  // order WriteJsonl emits.
   uint32_t stream = 0;
   uint64_t seq = 0;
 
@@ -92,7 +90,7 @@ class TraceRecorder {
   void Clear();
 
   // One JSON object per line, in canonical (t, stream, seq) order:
-  //   {"t":1200,"qid":792633534417207297,"ev":"switch_hit","node":4294901761,"detail":0,"stream":1,"seq":42}
+  //   {"t":1200,"qid":792633534417207297,"ev":"switch_hit","node":4294901761,"detail":0,"stream":0,"seq":42}
   void WriteJsonl(std::ostream& out) const;
 
   // Parses WriteJsonl output (exactly this schema; not a general JSON
@@ -103,25 +101,19 @@ class TraceRecorder {
   std::vector<SpanRecord> EventsLocked() const NC_REQUIRES(mu_);
 
   const size_t capacity_;
-  // The ring is mutex-guarded: DES workers record concurrently from any LP
-  // window. The ring's arrival order IS schedule-dependent, but each record
-  // carries its (stream, seq) stamp, and WriteJsonl sorts by (t, stream,
-  // seq) — so the serialized trace stays byte-identical per seed at every
-  // worker count, as long as the ring did not wrap (a wrapped ring drops a
-  // schedule-dependent subset; the CLI warns).
+  // The ring is mutex-guarded so that concurrent recorders (parallel sweep
+  // trials sharing one installed recorder) cannot corrupt it.
   mutable Mutex mu_;
   std::vector<SpanRecord> ring_ NC_GUARDED_BY(mu_);
   uint64_t recorded_ NC_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> stream_seq_ NC_GUARDED_BY(mu_);  // next seq per stream
+  uint64_t next_seq_ NC_GUARDED_BY(mu_) = 0;
 };
 
 namespace internal {
 // Not a std::atomic: the recorder is installed before the simulation runs
-// and uninstalled after it returns. DES workers only read the pointer while
-// executing an LP window — i.e. while the coordinator is blocked inside the
-// run — so the pointer is never written concurrently with a read; a plain
-// pointer keeps the hot-path check to one load. (The ring behind it is
-// mutex-guarded.)
+// and uninstalled after it returns, so the pointer is never written
+// concurrently with a read; a plain pointer keeps the hot-path check to one
+// load. (The ring behind it is mutex-guarded.)
 extern TraceRecorder* g_trace_recorder;
 }  // namespace internal
 

@@ -19,15 +19,12 @@ CacheController::CacheController(Simulator* sim, NetCacheSwitch* sw,
 
 void CacheController::RegisterServer(IpAddress ip, StorageServer* server) {
   servers_[ip] = server;
-  // The reject packet is delivered on the owning server's LP stream; the
-  // controller's reaction (switch eviction + re-insert queueing) crosses
-  // partitions, so it is deferred one control-plane operation onto the
-  // global stream rather than run inline in the server's window. That keeps
-  // reject delivery parallel and models the ToR-to-controller notification
-  // latency that a real deployment would pay anyway.
+  // The controller's reaction to a reject (switch eviction + re-insert
+  // queueing) is deferred one control-plane operation, modelling the
+  // ToR-to-controller notification latency a real deployment pays.
   server->SetUpdateRejectHandler([this](const Key& key, const Value& value) {
-    sim_->ScheduleGlobal(config_.control_op_latency,
-                         [this, key, value] { OnUpdateReject(key, value); });
+    sim_->Schedule(config_.control_op_latency,
+                   [this, key, value] { OnUpdateReject(key, value); });
   });
 }
 
@@ -43,8 +40,7 @@ void CacheController::Start() {
 }
 
 void CacheController::ScheduleDirtyFlush() {
-  // Global stream: the flush walks the switch and any owner server.
-  sim_->ScheduleGlobal(config_.write_back_flush_interval, [this] {
+  sim_->Schedule(config_.write_back_flush_interval, [this] {
     FlushDirtyEntries();
     ScheduleDirtyFlush();
   });
@@ -61,8 +57,7 @@ void CacheController::FlushDirtyEntries() {
 }
 
 void CacheController::ScheduleEpochReset() {
-  // Global stream: the reset reaches into the switch's statistics.
-  sim_->ScheduleGlobal(config_.stats_epoch, [this] {
+  sim_->Schedule(config_.stats_epoch, [this] {
     // Retune the heavy-hitter threshold from this epoch's report volume
     // before clearing (§4.4.3: thresholds are controller-configured).
     if (config_.target_reports_per_epoch > 0) {
@@ -140,12 +135,7 @@ void CacheController::PumpQueue() {
   pumping_ = true;
   // Each queued decision costs one control-plane operation interval; this is
   // the update-rate bottleneck of §4.3.
-  // Global stream: cache insertions/evictions touch the switch and the
-  // owner server, which live in different partitions. OnHotReport calls
-  // PumpQueue from the reporting switch's partition, so this must be
-  // explicit (and control_op_latency must exceed the lookahead, which any
-  // physical control-plane latency does).
-  sim_->ScheduleGlobal(config_.control_op_latency, [this] {
+  sim_->Schedule(config_.control_op_latency, [this] {
     if (!work_.empty()) {
       Candidate c = work_.front();
       work_.pop_front();

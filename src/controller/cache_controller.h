@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/lp_ownership.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/time_units.h"
@@ -146,29 +145,24 @@ class CacheController {
   void TrackInsert(const Key& key);
   void TrackEvict(const Key& key);
 
-  // LP ownership: the controller is not a Node — all of its work runs in the
-  // global stream (ScheduleGlobal serial instants) and its entry points are
-  // reached from there (hot reports are classified into the global stream,
-  // update rejects arrive via serial-fenced control traffic). Everything
-  // mutable is therefore fence-only state.
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED NetCacheSwitch* switch_;
-  NC_LP_SHARED ControllerConfig config_;
-  NC_LP_SHARED std::function<IpAddress(const Key&)> owner_of_;
-  NC_LP_FENCED std::unordered_map<IpAddress, StorageServer*> servers_;
+  Simulator* sim_;
+  NetCacheSwitch* switch_;
+  ControllerConfig config_;
+  std::function<IpAddress(const Key&)> owner_of_;
+  std::unordered_map<IpAddress, StorageServer*> servers_;
 
   // Controller's view of cache membership, supporting O(1) random sampling.
-  NC_LP_FENCED std::vector<Key> cached_keys_;
-  NC_LP_FENCED std::unordered_map<Key, size_t, KeyHasher> cached_index_;
+  std::vector<Key> cached_keys_;
+  std::unordered_map<Key, size_t, KeyHasher> cached_index_;
 
-  NC_LP_FENCED std::deque<Candidate> work_;
-  NC_LP_FENCED bool pumping_ = false;
-  NC_LP_FENCED bool started_ = false;
+  std::deque<Candidate> work_;
+  bool pumping_ = false;
+  bool started_ = false;
 
-  NC_LP_FENCED Rng rng_;
-  NC_LP_FENCED ControllerStats stats_;
-  NC_LP_FENCED uint64_t reports_at_epoch_start_ = 0;
-  NC_LP_FENCED uint32_t tuned_threshold_ = 0;  // 0 until the first adjustment
+  Rng rng_;
+  ControllerStats stats_;
+  uint64_t reports_at_epoch_start_ = 0;
+  uint32_t tuned_threshold_ = 0;  // 0 until the first adjustment
 };
 
 }  // namespace netcache

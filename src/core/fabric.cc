@@ -122,33 +122,6 @@ Fabric::Fabric(const FabricConfig& config)
       controllers_.push_back(std::move(ctl));
     }
   }
-
-  if (config.sim_threads > 0) {
-    // Partition layout: LP 1+s = spine s + its client (independent ingress
-    // pipelines), LP 1+spines+r = rack r (ToR + its servers). Only the
-    // ToR<->spine hops cross partitions, so the lookahead is the fabric-hop
-    // propagation delay. Controllers are not nodes; each is driven by exactly
-    // one switch's reports (its own partition) plus global-stream pump events.
-    for (size_t s = 0; s < spines; ++s) {
-      spines_[s]->set_lp(static_cast<uint32_t>(1 + s));
-      clients_[s]->set_lp(static_cast<uint32_t>(1 + s));
-    }
-    for (size_t r = 0; r < racks; ++r) {
-      tors_[r]->set_lp(static_cast<uint32_t>(1 + spines + r));
-    }
-    for (size_t g = 0; g < racks * n; ++g) {
-      servers_[g]->set_lp(static_cast<uint32_t>(1 + spines + g / n));
-    }
-    // Cache-update rejects deliver on the owning rack's LP stream; the
-    // controller defers its cross-partition reaction onto the global stream
-    // itself (CacheController::RegisterServer).
-    sim_.ConfigurePartitions(spines + racks, config.sim_threads);
-    if (!controllers_.empty()) {
-      // LP-context ScheduleGlobal calls (hot-report pump, reject deferral)
-      // all carry at least one control-plane operation.
-      sim_.SetGlobalLookahead(config.controller_config.control_op_latency);
-    }
-  }
 }
 
 IpAddress Fabric::server_ip(size_t global_index) const {

@@ -52,16 +52,13 @@ struct FabricConfig {
   ControllerConfig controller_config;  // per caching switch
   LinkConfig link;                     // used for every hop
   // Optional propagation override for the ToR<->spine hops: cross-rack fiber
-  // is physically longer than an in-rack DAC cable, and under parallel DES it
-  // is exactly these hops that set the lookahead window. 0 = use
+  // is physically longer than an in-rack DAC cable. 0 = use
   // link.propagation.
   SimDuration fabric_propagation = 0;
   uint64_t partition_seed = 0x70617274;
-  // Parallel DES threads. 0 (default) keeps the serial dispatcher; >= 1
-  // partitions the fabric into one logical process per rack (ToR + its
-  // servers) plus one per spine (spine + its client); only ToR<->spine links
-  // cross partitions, so the lookahead is the fabric-hop propagation delay.
-  size_t sim_threads = 0;
+  // Read-only: perfbench/ checks it. The simulator has one serial
+  // dispatcher and no worker threads.
+  static constexpr size_t sim_threads = 0;
 };
 
 class Fabric {

@@ -61,31 +61,6 @@ Rack::Rack(const RackConfig& config)
     }
   }
 
-  if (config_.sim_threads > 0) {
-    // Partition layout: LP 1 = ToR + clients (every packet crosses the
-    // switch, so splitting it from the clients would only add barrier
-    // traffic), LP 2+i = server i. Only the ToR<->server links cross
-    // partitions, so the lookahead is the server-link propagation delay.
-    tor_->set_lp(1);
-    for (auto& client : clients_) {
-      client->set_lp(1);
-    }
-    for (size_t i = 0; i < servers_.size(); ++i) {
-      servers_[i]->set_lp(static_cast<uint32_t>(2 + i));
-    }
-    // Cache-update rejects deliver on the owning server's LP stream like any
-    // other packet; the controller defers its cross-partition reaction onto
-    // the global stream itself (CacheController::RegisterServer).
-    sim_.ConfigurePartitions(1 + servers_.size(), config_.sim_threads);
-    if (config_.cache_enabled) {
-      // Every ScheduleGlobal issued from LP context (hot-report pump,
-      // reject deferral) carries at least one control-plane operation, so
-      // advertise that as the global lookahead: rounds can run up to
-      // t0 + control_op_latency before a new global event can exist.
-      sim_.SetGlobalLookahead(config_.controller_config.control_op_latency);
-    }
-  }
-
   // One namespace for the whole rack's telemetry.
   tor_->RegisterMetrics(metrics_, "switch", {{"component", "switch"}});
   for (size_t i = 0; i < servers_.size(); ++i) {
@@ -103,32 +78,13 @@ Rack::Rack(const RackConfig& config)
   }
 
   // Event-queue pressure. The peak is sampled at timestamp advances, which
-  // makes it identical across burst modes and --sim-threads values — the
-  // determinism legs diff these through the metrics JSON byte-for-byte.
+  // makes it identical across burst modes — the determinism legs diff these
+  // through the metrics JSON byte-for-byte.
   metrics_.AddCounter("sim.events_dispatched",
                       [this] { return static_cast<double>(sim_.events_processed()); },
                       {{"component", "sim"}});
   metrics_.AddGauge("sim.event_queue_peak",
                     [this] { return static_cast<double>(sim_.event_queue_peak()); },
-                    {{"component", "sim"}});
-  for (size_t lp = 1; lp <= sim_.num_lps(); ++lp) {
-    const std::string lp_prefix = "sim.lp" + std::to_string(lp);
-    metrics_.AddCounter(
-        lp_prefix + ".window_stalls",
-        [this, lp] { return static_cast<double>(sim_.lp_window_stalls(lp)); },
-        {{"component", "sim"}, {"lp", std::to_string(lp)}});
-    metrics_.AddCounter(
-        lp_prefix + ".windows_merged",
-        [this, lp] { return static_cast<double>(sim_.lp_windows_merged(lp)); },
-        {{"component", "sim"}, {"lp", std::to_string(lp)}});
-  }
-  metrics_.AddGauge("sim.avg_events_per_window",
-                    [this] {
-                      uint64_t w = sim_.windows_run();
-                      return w == 0 ? 0.0
-                                    : static_cast<double>(sim_.events_processed()) /
-                                          static_cast<double>(w);
-                    },
                     {{"component", "sim"}});
 }
 

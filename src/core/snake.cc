@@ -35,11 +35,9 @@ class SnakeHarness::Endpoint : public Node {
   uint64_t value_ok() const { return value_ok_; }
 
  private:
-  // The snake harness is serial-only (no ConfigurePartitions), so these
-  // never see a non-coordinator context.
-  NC_LP_SHARED const SnakeHarness* harness_;
-  NC_LP_OWNED uint64_t received_ = 0;
-  NC_LP_OWNED uint64_t value_ok_ = 0;
+  const SnakeHarness* harness_;
+  uint64_t received_ = 0;
+  uint64_t value_ok_ = 0;
 };
 
 SnakeHarness::SnakeHarness(const SwitchConfig& config, size_t num_ports)

@@ -66,8 +66,7 @@ void NetCacheSwitch::ScheduleEmit(uint32_t port, Packet* out_pkt) {
     pipe_busy_until_[pipe] = start + slot;
     delay = (start + slot) - sim_->Now() + config_.pipeline_latency;
   }
-  // Node-affine: the egress pipeline runs in the switch's partition.
-  sim_->ScheduleFor(this, delay, [this, port, out_pkt] {
+  sim_->Schedule(delay, [this, port, out_pkt] {
     Send(port, *out_pkt);
     sim_->packet_pool().Release(out_pkt);
   });

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/lp_ownership.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/time_units.h"
@@ -278,44 +277,39 @@ class NetCacheSwitch : public Node {
   // working copy instead of paying another ~190-byte Packet copy per hop.
   void ForwardByDst(Packet&& pkt, std::vector<Emit>& out);
 
-  // LP ownership (parallel DES): the data plane — tables, registers, sketch,
-  // counters, scratch — is owned by the switch's LP; the controller's
-  // control-plane calls (InsertCacheEntry, DrainDirty, ResetStatistics, ...)
-  // run in global-stream serial instants, which are coordinator context and
-  // therefore allowed on owned state.
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED SwitchConfig config_;
+  Simulator* sim_;
+  SwitchConfig config_;
 
-  NC_LP_OWNED ExactMatchTable<CacheAction> lookup_;
-  NC_LP_OWNED std::vector<PipeState> pipes_;
+  ExactMatchTable<CacheAction> lookup_;
+  std::vector<PipeState> pipes_;
   // Valid bit per cached key (cache-status module, Fig 8).
-  NC_LP_OWNED RegisterArray<uint8_t> status_;
+  RegisterArray<uint8_t> status_;
   // Dirty bit per cached key (write-back mode only).
-  NC_LP_OWNED RegisterArray<uint8_t> dirty_;
+  RegisterArray<uint8_t> dirty_;
   // Exact value length in bytes per cached key; written by data-plane cache
   // updates so no control-plane action is needed on a write-through refresh.
-  NC_LP_OWNED RegisterArray<uint8_t> value_size_;
-  NC_LP_OWNED std::vector<uint32_t> free_key_indexes_;
+  RegisterArray<uint8_t> value_size_;
+  std::vector<uint32_t> free_key_indexes_;
 
-  NC_LP_OWNED QueryStatistics stats_;
+  QueryStatistics stats_;
   // Open-addressing route table: ForwardByDst runs once per emitted packet,
   // and flat probing on the Mix64-spread address beats the chained
   // unordered_map there (see micro_datastructures BM_*RouteLookup).
-  NC_LP_OWNED FlatTable<IpAddress, uint32_t, UintHasher> routes_;
+  FlatTable<IpAddress, uint32_t, UintHasher> routes_;
   struct SnakeHop {
     uint32_t out_port = 0;
     bool strip_value = false;
   };
-  NC_LP_FENCED std::vector<std::optional<SnakeHop>> snake_;  // harness setup only
-  NC_LP_SHARED HotReportHandler hot_report_;  // installed at wiring time
+  std::vector<std::optional<SnakeHop>> snake_;  // harness setup only
+  HotReportHandler hot_report_;  // installed at wiring time
 
-  NC_LP_OWNED SwitchCounters counters_;
-  NC_LP_OWNED std::vector<uint64_t> pipe_value_reads_;
+  SwitchCounters counters_;
+  std::vector<uint64_t> pipe_value_reads_;
   // Per-pipe transmitter state for the optional rate bound.
-  NC_LP_OWNED std::vector<SimTime> pipe_busy_until_;
+  std::vector<SimTime> pipe_busy_until_;
   // Scratch buffer for HandlePacket; a member so the steady state allocates
   // nothing per packet.
-  NC_LP_OWNED std::vector<Emit> scratch_emits_;
+  std::vector<Emit> scratch_emits_;
 };
 
 }  // namespace netcache

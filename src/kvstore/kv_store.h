@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 
-#include "common/lp_ownership.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "kvstore/hash_table.h"
@@ -80,11 +79,10 @@ class KvStore {
                        MetricsRegistry::Labels labels = {}) const;
 
  private:
-  // LP classification is inherited from the embedding object: StorageServer
-  // holds its KvStore under store_mu_ (the control channel runs concurrently
-  // with the data path), so the store is safe from any context.
-  NC_LP_SHARED HashDyn<Key, Value, KeyHasher> table_;
-  NC_LP_SHARED mutable Stats stats_;
+  // Not synchronized: StorageServer holds its KvStore under store_mu_ (the
+  // control channel runs concurrently with the data path).
+  HashDyn<Key, Value, KeyHasher> table_;
+  mutable Stats stats_;
 };
 
 }  // namespace netcache

@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/lp_ownership.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "kvstore/kv_store.h"
@@ -54,11 +53,11 @@ class ShardedStore {
     uint64_t accesses NC_GUARDED_BY(mu) = 0;
   };
 
-  // Mutex-per-shard makes the whole store safe from any LP or thread — the
+  // Mutex-per-shard makes the whole store safe from any thread — the
   // -Wthread-safety annotations above carry the proof.
-  NC_LP_SHARED uint64_t seed_;
+  uint64_t seed_;
   // unique_ptr because Mutex is neither movable nor copyable.
-  NC_LP_SHARED std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace netcache

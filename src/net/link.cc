@@ -18,7 +18,6 @@ Link::Link(Simulator* sim, const LinkConfig& config)
   // double->integer conversion happens once here instead of per packet, so
   // deadline chains accumulate exactly (40 Gb/s -> exactly 200 ps/byte).
   ps_per_byte_ = std::max<uint64_t>(1, static_cast<uint64_t>(std::llround(8000.0 / config.bandwidth_gbps)));
-  sim_->RegisterLink(this);
 }
 
 void Link::Connect(Node* a, uint32_t a_port, Node* b, uint32_t b_port) {
@@ -31,11 +30,6 @@ void Link::Connect(Node* a, uint32_t a_port, Node* b, uint32_t b_port) {
 void Link::Transmit(int from_end, const Packet& pkt) {
   NC_CHECK(from_end == 0 || from_end == 1);
   NC_CHECK(ends_[0].node != nullptr && ends_[1].node != nullptr) << "link not connected";
-  // The transmitter (busy_until chain, queue occupancy, loss RNG draw order)
-  // is owned by the sending end's LP; a foreign LP driving it would make the
-  // RNG draw order and the deadline chain schedule-dependent.
-  NC_LP_CHECK("Link::Transmit", ends_[from_end].node->name().c_str(),
-              ends_[from_end].node->lp());
   Direction& dir = dirs_[from_end];
   size_t bytes = pkt.WireSize();
   ++dir.stats.offered;
@@ -49,7 +43,7 @@ void Link::Transmit(int from_end, const Packet& pkt) {
     return;
   }
   dir.queued_bytes += bytes;
-  dir.stats.in_flight.fetch_add(1, std::memory_order_relaxed);
+  ++dir.stats.in_flight;
 
   uint64_t now_ps = static_cast<uint64_t>(sim_->Now()) * 1000;
   uint64_t start_ps = std::max(now_ps, dir.busy_until_ps);
@@ -71,11 +65,10 @@ void Link::Transmit(int from_end, const Packet& pkt) {
   if (dir.group != nullptr && dir.group->open_time == now) {
     // Join the open group. The deadline chain is monotone, so this member's
     // tx_done is the group's new serialization end. Queue-free stays a plain
-    // node-affine closure (the first member's closure flushes the group).
+    // closure (the first member's closure flushes the group).
     dir.group->entries.emplace_back(in_flight, static_cast<uint32_t>(bytes));
     dir.group->last_tx_done = tx_done;
-    sim_->ScheduleAtFor(ends_[from_end].node, tx_done,
-                        [this, from_end, bytes] { dirs_[from_end].queued_bytes -= bytes; });
+    sim_->ScheduleAt(tx_done, [this, from_end, bytes] { dirs_[from_end].queued_bytes -= bytes; });
     return;
   }
   EgressBurst* g = sim_->AcquireEgressBurst();
@@ -87,9 +80,8 @@ void Link::Transmit(int from_end, const Packet& pkt) {
   // Its tx_done lands strictly after the open instant on the ns grid
   // (bytes >= 1, ps_per_byte >= 1), so every same-instant transmit has
   // already joined by the time it runs; the guard handles a group already
-  // displaced by a later instant's opener. Node-affine so the transmitter
-  // state stays in the sending node's partition under parallel DES.
-  sim_->ScheduleAtFor(ends_[from_end].node, tx_done, [this, from_end, bytes, g] {
+  // displaced by a later instant's opener.
+  sim_->ScheduleAt(tx_done, [this, from_end, bytes, g] {
     Direction& d = dirs_[from_end];
     d.queued_bytes -= bytes;
     if (d.group == g) {

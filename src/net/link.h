@@ -17,10 +17,8 @@
 #ifndef NETCACHE_NET_LINK_H_
 #define NETCACHE_NET_LINK_H_
 
-#include <atomic>
 #include <cstdint>
 
-#include "common/lp_ownership.h"
 #include "common/rng.h"
 #include "common/time_units.h"
 #include "net/node.h"
@@ -54,31 +52,22 @@ class Link {
   // `from_end`. Called by the simulator's delivery dispatcher (the accounting
   // the delivery closure used to do inline before deliveries became typed
   // events); a burst record books its whole transmit group in one call —
-  // same totals at the same instant as its per-packet twin records. Runs in
-  // the RECEIVING node's partition under parallel DES, which is why
-  // `in_flight` is the one atomic field (see DirectionStats).
+  // same totals at the same instant as its per-packet twin records.
   void AccountDelivery(int from_end, uint32_t bytes, uint32_t count = 1) {
-    // Delivery accounting belongs to the receiving end's partition (the
-    // dispatcher books it alongside handler dispatch).
-    NC_LP_CHECK("Link::AccountDelivery", ends_[1 - from_end].node->name().c_str(),
-                ends_[1 - from_end].node->lp());
-    dirs_[from_end].stats.in_flight.fetch_sub(count, std::memory_order_relaxed);
+    dirs_[from_end].stats.in_flight -= count;
     dirs_[from_end].stats.delivered += count;
     dirs_[from_end].stats.bytes += bytes;
   }
 
-  // Per-direction counters. Single-writer under parallel DES except
-  // `in_flight`: offered/dropped/lost are bumped by Transmit in the sending
-  // node's partition, delivered/bytes by AccountDelivery in the receiving
-  // node's, but in_flight is touched by both — hence the atomic. Readers
-  // (checkers, metrics) only run in serial instants, ordered by the window
-  // barrier, so plain fields need no synchronization.
+  // Per-direction counters: offered/dropped/lost/in_flight are bumped by
+  // Transmit, delivered/bytes (and the in_flight decrement) by
+  // AccountDelivery.
   struct DirectionStats {
     uint64_t offered = 0;    // every Transmit attempt
     uint64_t delivered = 0;
     uint64_t dropped = 0;   // queue overflow
     uint64_t lost = 0;      // random loss injection
-    std::atomic<uint64_t> in_flight{0};  // accepted, not yet handed to the far node
+    uint64_t in_flight = 0;  // accepted, not yet handed to the far node
     uint64_t bytes = 0;
   };
   // Conservation invariant, checked by the packet-conservation checker at
@@ -92,10 +81,6 @@ class Link {
 
   const LinkConfig& config() const { return config_; }
 
-  // Endpoint node of end 0 or 1 (null before Connect). ConfigurePartitions
-  // walks registered links to find partition-crossing ones for the lookahead.
-  Node* end_node(int end) const { return ends_[end].node; }
-
  private:
   struct Endpoint {
     Node* node = nullptr;
@@ -107,8 +92,7 @@ class Link {
     // The transmit group currently accepting members: every transmission
     // accepted at the group's open instant joins it; the first member's
     // queue-free closure (strictly after the open instant on the ns grid)
-    // closes and flushes it. Owned by the sending end's LP like the rest of
-    // the transmitter state.
+    // closes and flushes it.
     EgressBurst* group = nullptr;
     DirectionStats stats;
   };
@@ -116,23 +100,17 @@ class Link {
   // Ships a closed transmit group: one burst delivery record when the
   // simulator allows them, else adjacent per-packet records — both at the
   // group's shared delivery instant (last member's serialization end +
-  // propagation). Runs in the sending end's partition (from the first
-  // member's queue-free closure).
+  // propagation). Runs from the first member's queue-free closure.
   void FlushGroup(EgressBurst* g, int from_end);
 
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED LinkConfig config_;
-  NC_LP_SHARED uint64_t ps_per_byte_;
-  // One loss stream per direction: under parallel DES the two directions are
-  // driven from different partitions, and a shared generator would be both a
-  // data race and a thread-count-dependent draw order. loss_rng_[i] and
-  // dirs_[i] are owned by end i's LP (checked in Transmit), except
-  // dirs_[i].stats.delivered/bytes/in_flight which the receiving partition
-  // books via AccountDelivery — in_flight is the one field both ends touch,
-  // hence the atomic in DirectionStats.
-  NC_LP_OWNED Rng loss_rng_[2];
-  NC_LP_SHARED Endpoint ends_[2];  // wiring-time, immutable after Connect
-  NC_LP_OWNED Direction dirs_[2];  // dirs_[i] carries traffic from end i to end 1-i
+  Simulator* sim_;
+  LinkConfig config_;
+  uint64_t ps_per_byte_;
+  // One loss stream per direction (the seeded draw order of each direction
+  // is part of the model).
+  Rng loss_rng_[2];
+  Endpoint ends_[2];  // wiring-time, immutable after Connect
+  Direction dirs_[2];  // dirs_[i] carries traffic from end i to end 1-i
 };
 
 }  // namespace netcache

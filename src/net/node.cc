@@ -14,9 +14,6 @@ void Node::AttachLink(uint32_t port, Link* link, int end) {
 }
 
 void Node::Send(uint32_t port, const Packet& pkt) {
-  // Transmitting mutates this node's outbound link direction, so only this
-  // node's LP (or the coordinator in a serial instant) may drive it.
-  NC_LP_CHECK("Node::Send", name_.c_str(), lp_);
   if (port >= links_.size() || links_[port].link == nullptr) {
     NC_LOG(WARN) << name_ << ": send on unwired port " << port << " (" << pkt.Summary() << ")";
     return;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lp_ownership.h"
 #include "proto/packet.h"
 
 namespace netcache {
@@ -57,24 +56,14 @@ class Node {
   const std::string& name() const { return name_; }
   size_t num_ports() const { return links_.size(); }
 
-  // Logical-process label for the simulator's conservative-parallel mode:
-  // the partition (1-based) whose event heap runs this node's events, or 0
-  // (default) for the global stream, which always executes serially. Set by
-  // topology construction (Rack/Fabric) before Simulator::ConfigurePartitions.
-  void set_lp(uint32_t lp) { lp_ = lp; }
-  uint32_t lp() const { return lp_; }
-
  private:
   struct PortSlot {
     Link* link = nullptr;
     int end = 0;
   };
 
-  // All three are wiring-time state: written while the topology is built
-  // (single-threaded, before ConfigurePartitions), immutable while events run.
-  NC_LP_SHARED std::string name_;
-  NC_LP_SHARED uint32_t lp_ = 0;
-  NC_LP_SHARED std::vector<PortSlot> links_;
+  std::string name_;
+  std::vector<PortSlot> links_;
 };
 
 }  // namespace netcache

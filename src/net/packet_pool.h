@@ -4,13 +4,8 @@
 // buffer). Capturing one by value in a scheduled closure forces the event
 // queue to heap-allocate per event; a pooled Packet* keeps the closure within
 // InlineFunction's inline budget and recycles the buffers instead of churning
-// the allocator. The pool itself is single-threaded: in a parallel sweep every
-// trial has its own Simulator, and under parallel DES the Simulator keeps one
-// pool shard per partition, each touched only by the thread executing that
-// partition (sim->packet_pool() resolves to the executing shard). Releasing a
-// packet into a different shard than acquired it is memory-safe — chunks are
-// owned by the acquiring pool and every shard lives as long as the Simulator —
-// so cross-partition deliveries simply migrate buffers between freelists.
+// the allocator. The pool is single-threaded: in a parallel sweep every
+// trial has its own Simulator, and with it its own pool.
 //
 // Usage on a hot path:
 //   Packet* copy = sim->packet_pool().Acquire(pkt);
@@ -28,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/lp_ownership.h"
 #include "proto/packet.h"
 
 namespace netcache {
@@ -43,7 +37,6 @@ class PacketPool {
   // Returns a packet from the freelist (contents unspecified) or allocates a
   // fresh chunk when empty.
   Packet* Acquire() {
-    NC_LP_CHECK("PacketPool::Acquire", "packet pool shard", owner_lp_);
     ++acquires_;
     if (free_.empty()) {
       Grow();
@@ -60,10 +53,7 @@ class PacketPool {
     return p;
   }
 
-  void Release(Packet* p) {
-    NC_LP_CHECK("PacketPool::Release", "packet pool shard", owner_lp_);
-    free_.push_back(p);
-  }
+  void Release(Packet* p) { free_.push_back(p); }
 
   // Pre-sizes the pool so the first burst of traffic doesn't grow it.
   void Reserve(size_t packets) {
@@ -75,11 +65,6 @@ class PacketPool {
   uint64_t acquires() const { return acquires_; }
   size_t allocated() const { return chunks_.size() * kChunkPackets; }
   size_t free_count() const { return free_.size(); }
-
-  // Labels the shard with the LP whose thread may touch it (0 = global /
-  // unpartitioned). Set by Simulator::ConfigurePartitions.
-  void set_owner_lp(uint32_t lp) { owner_lp_ = lp; }
-  uint32_t owner_lp() const { return owner_lp_; }
 
  private:
   // Packets are allocated in chunks to amortize allocator traffic and keep
@@ -95,10 +80,9 @@ class PacketPool {
     }
   }
 
-  NC_LP_OWNED std::vector<std::unique_ptr<Packet[]>> chunks_;
-  NC_LP_OWNED std::vector<Packet*> free_;
-  NC_LP_OWNED uint64_t acquires_ = 0;
-  NC_LP_SHARED uint32_t owner_lp_ = 0;  // written once before events run
+  std::vector<std::unique_ptr<Packet[]>> chunks_;
+  std::vector<Packet*> free_;
+  uint64_t acquires_ = 0;
 };
 
 }  // namespace netcache

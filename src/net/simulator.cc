@@ -1,10 +1,8 @@
 #include "net/simulator.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/lp_ownership.h"
 #include "common/profiler.h"
 #include "net/link.h"
 
@@ -23,787 +21,123 @@ inline uint64_t RecWeight(const Simulator::DeliveryRec& r) {
 
 }  // namespace
 
-thread_local Simulator::Ctx* Simulator::tls_ctx_ = nullptr;
-
-Simulator::Simulator(size_t reserve_events) {
-  ctxs_.emplace_back();
-  legacy_ = &ctxs_[0];
-  legacy_->sim = this;
-  legacy_->index = 0;
-  legacy_->queue.Reserve(reserve_events);
-}
-
-Simulator::~Simulator() { StopWorkers(); }
+Simulator::Simulator(size_t reserve_events) { queue_.Reserve(reserve_events); }
 
 void Simulator::ScheduleAt(SimTime at, EventFn fn) {
-  Ctx* c = cur();
-  NC_CHECK(at >= c->now) << "scheduling into the past: event at t=" << at
-                         << " ns but Now() is t=" << c->now
-                         << " ns; events must never be scheduled before the "
-                            "current simulated time (causality / determinism)";
-  Route(*c, *c, Event{at, NextKey(*c), std::move(fn)});
-}
-
-void Simulator::ScheduleAtFor(Node* node, SimTime at, EventFn fn) {
-  Ctx* c = cur();
-  NC_CHECK(at >= c->now) << "scheduling into the past: event at t=" << at
-                         << " ns but Now() is t=" << c->now << " ns";
-  Ctx* dest = c;
-  if (partitioned_) {
-    NC_CHECK(node->lp() < ctxs_.size())
-        << node->name() << " labeled with partition " << node->lp() << " but only "
-        << num_lps() << " logical processes are configured";
-    dest = &ctxs_[node->lp()];
-  }
-  Route(*c, *dest, Event{at, NextKey(*c), std::move(fn)});
-}
-
-void Simulator::ScheduleGlobalAt(SimTime at, EventFn fn) {
-  Ctx* c = cur();
-  NC_CHECK(at >= c->now) << "scheduling into the past: event at t=" << at
-                         << " ns but Now() is t=" << c->now << " ns";
-  Route(*c, ctxs_[0], Event{at, NextKey(*c), std::move(fn)});
+  NC_CHECK(at >= now_) << "scheduling into the past: event at t=" << at
+                       << " ns but Now() is t=" << now_
+                       << " ns; events must never be scheduled before the "
+                          "current simulated time (causality / determinism)";
+  queue_.Push(Event{at, next_key_++, std::move(fn)});
 }
 
 void Simulator::ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec) {
-  Ctx* c = cur();
-  NC_CHECK(at >= c->now) << "scheduling into the past: delivery at t=" << at
-                         << " ns but Now() is t=" << c->now << " ns";
-  Ctx* dest = c;
-  if (partitioned_) {
-    NC_CHECK(rec.node->lp() < ctxs_.size())
-        << rec.node->name() << " labeled with partition " << rec.node->lp()
-        << " but only " << num_lps() << " logical processes are configured";
-    dest = &ctxs_[rec.node->lp()];
-  }
-  Route(*c, *dest, Event{at, NextKey(*c), rec});
-}
-
-void Simulator::Route(Ctx& from, Ctx& to, Event ev) {
-  // Inside a round each queue belongs to its own worker, so a cross-partition
-  // event is staged into the producer's per-destination outbox bucket (this
-  // round's parity side) and drained by the destination — or, for the global
-  // stream, by the coordinator at the boundary. Merge order cannot matter:
-  // keys are a total order, and an event queue's pop sequence depends only
-  // on its content set — which is also why --sim-threads=1 and =N produce
-  // byte-identical schedules.
-  if (!in_window_ || &from == &to) {
-    to.queue.Push(std::move(ev));
-    return;
-  }
-  OutBucket& bucket = from.out[to.index];
-  std::vector<Event>& side = bucket.ev[parity_];
-  if (side.empty()) {
-    from.touched.push_back(to.index);
-    bucket.min_time[parity_] = ev.time;
-  } else if (ev.time < bucket.min_time[parity_]) {
-    bucket.min_time[parity_] = ev.time;
-  }
-  side.push_back(std::move(ev));
-}
-
-bool Simulator::ConfigurePartitions(size_t num_lps, size_t threads) {
-  NC_CHECK(!partitioned_) << "partitions already configured";
-  NC_CHECK(num_lps >= 1 && num_lps < (1u << 16)) << "num_lps out of range";
-  NC_CHECK(threads >= 1);
-  // Lookahead: minimum propagation delay over inter-partition links. Links
-  // inside one partition don't constrain the horizon. The link's
-  // integer-picosecond transmit grid guarantees every delivery lands at least
-  // propagation + 1 ns after the instant that produced it, so any delivery
-  // scheduled inside a round lands at or beyond every horizon derived from
-  // these distances. kNeverTime (no cross links at all) means rounds are
-  // bounded only by the global stream.
-  SimDuration look = kNeverTime;
-  for (Link* link : links_) {
-    Node* a = link->end_node(0);
-    Node* b = link->end_node(1);
-    if (a == nullptr || b == nullptr || a->lp() == b->lp()) {
-      continue;
-    }
-    NC_CHECK(a->lp() <= num_lps && b->lp() <= num_lps)
-        << "link endpoint labeled with partition beyond num_lps";
-    look = std::min(look, link->config().propagation);
-  }
-  if (look == 0) {
-    NC_LOG(WARN) << "parallel DES disabled: a cross-partition link has zero "
-                    "propagation delay (lookahead 0); falling back to the "
-                    "serial dispatcher";
-    return false;
-  }
-  const size_t n = num_lps + 1;
-  for (size_t i = 1; i <= num_lps; ++i) {
-    ctxs_.emplace_back();
-    Ctx& c = ctxs_.back();
-    c.sim = this;
-    c.index = static_cast<uint32_t>(i);
-    c.queue.Reserve(kDefaultReserveEvents / 4);
-    // Label the pool shard for the runtime ownership sanitizer: only the
-    // thread executing LP i may acquire from / release into shard i.
-    c.pool.set_owner_lp(c.index);
-  }
-  for (Ctx& c : ctxs_) {
-    c.out.resize(n);
-    c.touched.reserve(n);
-  }
-  legacy_ = &ctxs_[0];
-  // Per-LP channel clocks need the transitive closure of link propagation
-  // delays: influence can relay through an idle intermediate LP, so a
-  // horizon derived from direct in-edges alone would be unsound.
-  // Floyd–Warshall over at most 2^16 LPs at wiring time is negligible next
-  // to any run.
-  dist_.assign(n * n, kNeverTime);
-  for (Link* link : links_) {
-    Node* a = link->end_node(0);
-    Node* b = link->end_node(1);
-    if (a == nullptr || b == nullptr || a->lp() == b->lp()) {
-      continue;
-    }
-    SimDuration& ab = dist_[a->lp() * n + b->lp()];
-    SimDuration& ba = dist_[b->lp() * n + a->lp()];
-    ab = std::min(ab, link->config().propagation);
-    ba = std::min(ba, link->config().propagation);
-  }
-  for (size_t k = 1; k < n; ++k) {
-    for (size_t i = 1; i < n; ++i) {
-      SimDuration ik = dist_[i * n + k];
-      if (ik == kNeverTime) {
-        continue;
-      }
-      for (size_t j = 1; j < n; ++j) {
-        SimDuration kj = dist_[k * n + j];
-        if (kj == kNeverTime || kj >= kNeverTime - ik) {
-          continue;
-        }
-        SimDuration& ij = dist_[i * n + j];
-        ij = std::min(ij, ik + kj);
-      }
-    }
-  }
-  next_.assign(n, kNeverTime);
-  mail_min_.assign(n, kNeverTime);
-  participants_.reserve(num_lps);
-  lookahead_ = look;
-  threads_ = std::min(threads, num_lps);
-  partitioned_ = true;
-  return true;
-}
-
-void Simulator::SetGlobalLookahead(SimDuration g) {
-  NC_CHECK(g > 0) << "global lookahead must be positive";
-  global_lookahead_ = g;
-}
-
-void Simulator::DispatchIn(Ctx& c, Event& ev, bool coalesce) {
-  if (ev.is_delivery) {
-    RunDelivery(c, ev.del, coalesce);
-  } else {
-    ev.fn();
-  }
+  NC_CHECK(at >= now_) << "scheduling into the past: delivery at t=" << at
+                       << " ns but Now() is t=" << now_ << " ns";
+  queue_.Push(Event{at, next_key_++, rec});
 }
 
 void Simulator::RunUntil(SimTime until) {
-  if (partitioned_) {
-    RunWindowed(until);
-    return;
+  Drain(until);
+  if (now_ < until) {
+    now_ = until;
   }
-  Ctx& c = *legacy_;
-  while (!c.queue.empty() && c.queue.top().time <= until) {
-    if (c.queue.top().time != c.now) {
-      SamplePeak(c);
+}
+
+void Simulator::RunAll() { Drain(kNeverTime); }
+
+void Simulator::Drain(SimTime until) {
+  ProfScope prof(ProfCat::kExecute);
+  const uint64_t before = events_;
+  while (!queue_.empty() && queue_.top().time <= until) {
+    if (queue_.top().time != now_) {
+      SamplePeak();
     }
     // Move the event out before running so the handler may schedule freely.
-    Event ev = c.queue.Pop();
-    c.now = ev.time;
-    ++c.events;
-    DispatchIn(c, ev, coalesce_);
+    Event ev = queue_.Pop();
+    now_ = ev.time;
+    ++events_;
+    if (ev.is_delivery) {
+      RunDelivery(ev.del);
+    } else {
+      ev.fn();
+    }
   }
-  if (c.now < until) {
-    c.now = until;
-  }
+  prof.set_arg(events_ - before);
 }
 
-void Simulator::RunAll() {
-  if (partitioned_) {
-    RunWindowed(kNeverTime);
-    return;
-  }
-  Ctx& c = *legacy_;
-  while (!c.queue.empty()) {
-    if (c.queue.top().time != c.now) {
-      SamplePeak(c);
-    }
-    Event ev = c.queue.Pop();
-    c.now = ev.time;
-    ++c.events;
-    DispatchIn(c, ev, coalesce_);
-  }
-}
-
-void Simulator::RunWindowed(SimTime until) {
-  for (;;) {
-    SimTime tg = kNeverTime;
-    bool serial = false;
-    bool exit_loop = false;
-    {
-      // Round boundary: single-threaded coordinator work — skim last round's
-      // outboxes, advance the channel clocks, pick this round's participants
-      // and horizons. O(LPs + mail minima), never O(events).
-      ProfScope prof(ProfCat::kCoordinate);
-      CollectOutboxes();
-      SimTime t0 = kNeverTime;
-      for (size_t i = 1; i < ctxs_.size(); ++i) {
-        const Ctx& c = ctxs_[i];
-        next_[i] = std::min(c.queue.next_time(), mail_min_[i]);
-        t0 = std::min(t0, next_[i]);
-      }
-      tg = ctxs_[0].queue.next_time();
-      t0 = std::min(t0, tg);
-      if (t0 == kNeverTime || t0 > until) {
-        // Leave every event in a queue so PendingEvents and a later RunUntil
-        // see canonical state.
-        DrainAllMail();
-        exit_loop = true;
-      } else if (tg <= t0) {
-        // A global event is next: it may touch any partition, so the whole
-        // instant runs serially on this thread, with all mail delivered.
-        DrainAllMail();
-        serial = true;
-      } else if (!BuildRound(t0, tg, until)) {
-        // Every LP's earliest work sits at or beyond its horizon and no mail
-        // is pending — only the global stream can advance time. (With a
-        // finite horizon below tg this cannot happen: the t0 LP always
-        // clears its own t0 event. Defensive for kNeverTime arithmetic.)
-        DrainAllMail();
-        serial = true;
-      }
-      prof.set_arg(participants_.size());
-    }
-    if (exit_loop) {
-      break;
-    }
-    if (serial) {
-      if (tg == kNeverTime || tg > until) {
-        break;
-      }
-      RunSerialInstant(tg);
-      continue;
-    }
-    RunRound();
-  }
-  // Sync every context's clock to the run's end so Now() is well-defined
-  // from any calling context afterwards: `until` for a bounded run, the
-  // globally last dispatched instant for an unbounded one (matching the
-  // serial dispatcher's post-RunAll semantics).
-  SimTime end = until;
-  if (until == kNeverTime) {
-    end = 0;
-    for (const Ctx& c : ctxs_) {
-      end = std::max(end, c.now);
-    }
-  }
-  for (Ctx& c : ctxs_) {
-    if (c.now < end) {
-      c.now = end;
-    }
-  }
-}
-
-void Simulator::CollectOutboxes() {
-  // Boundary bookkeeping for the round that just finished (outbox side
-  // parity_). Participants drained their inbound mail at the start of their
-  // turn, so their mail-clock resets before new mail is recorded.
-  for (uint32_t idx : participants_) {
-    mail_min_[idx] = kNeverTime;
-  }
-  participants_.clear();
-  SimTime max_now = 0;
-  for (const Ctx& c : ctxs_) {
-    max_now = std::max(max_now, c.now);
-  }
-  for (Ctx& c : ctxs_) {
-    if (c.touched.empty()) {
-      continue;
-    }
-    for (uint32_t dest : c.touched) {
-      OutBucket& bucket = c.out[dest];
-      std::vector<Event>& side = bucket.ev[parity_];
-      if (dest == 0) {
-        // Global mail is delivered here: the coordinator owns the global
-        // queue between rounds, and serial instants must see it. The sender
-        // contract (delay >= global lookahead) guarantees it lands beyond
-        // everything any LP has executed.
-        for (Event& ev : side) {
-          NC_CHECK(ev.time >= max_now)
-              << "ScheduleGlobal from an LP lands at t=" << ev.time
-              << " ns but an LP already executed t=" << max_now
-              << " ns; LP-context global schedules must carry at least the "
-                 "global lookahead (SetGlobalLookahead / control-plane "
-                 "latency), or run with --sim-threads=0";
-          ctxs_[0].queue.Push(std::move(ev));
-        }
-        side.clear();
-      } else if (mail_min_[dest] == kNeverTime ||
-                 bucket.min_time[parity_] < mail_min_[dest]) {
-        mail_min_[dest] = bucket.min_time[parity_];
-      }
-    }
-    c.touched.clear();
-  }
-}
-
-bool Simulator::BuildRound(SimTime t0, SimTime tg, SimTime until) {
-  // Horizon cap shared by every LP: the next pending global event, the
-  // earliest instant a NEW global event could be scheduled for (t0 + G), and
-  // the run bound. When no global lookahead was declared the t0 + G term is
-  // omitted entirely — most workloads never ScheduleGlobal from LP context,
-  // and capping at t0 + link-lookahead would pin every horizon to the legacy
-  // fixed window. The contract stays enforced: CollectOutboxes fatally
-  // rejects any LP-context global event that lands at or below an executed
-  // instant, so a workload that does need the cap fails loudly until it
-  // calls SetGlobalLookahead.
-  SimTime cap = tg;
-  if (global_lookahead_ != 0 && global_lookahead_ < kNeverTime - t0) {
-    cap = std::min(cap, t0 + global_lookahead_);
-  }
-  if (until != kNeverTime) {
-    cap = std::min(cap, until + 1);  // events at exactly `until` still run
-  }
-  const size_t n = ctxs_.size();
-  for (size_t i = 1; i < n; ++i) {
-    Ctx& c = ctxs_[i];
-    // Per-LP safe horizon: nothing another stream executes this round can
-    // land in i below it (channel-clock argument, see the header).
-    SimTime horizon = cap;
-    for (size_t j = 1; j < n; ++j) {
-      // j == i is NOT skipped: Dist(i, i) is the shortest cycle through i
-      // (Floyd–Warshall's diagonal), and i's own sends can round-trip back
-      // to it — a request at next_i returns no earlier than next_i + that
-      // cycle, which bounds how far i itself may run ahead.
-      SimTime nj = next_[j];
-      SimDuration d = Dist(j, i);
-      if (nj == kNeverTime || d == kNeverTime || d >= kNeverTime - nj) {
-        continue;
-      }
-      horizon = std::min(horizon, nj + d);
-    }
-    bool mail = mail_min_[i] != kNeverTime;
-    bool work = c.queue.next_time() < horizon;
-    if (!mail && !work) {
-      continue;  // idle LP: skips the round entirely, no stall spin
-    }
-    c.wend = horizon;
-    if (lookahead_ != kNeverTime && lookahead_ < kNeverTime - t0 &&
-        horizon > t0 + lookahead_) {
-      ++c.windows_merged;  // wider than the legacy global min(T0)+lookahead
-    }
-    participants_.push_back(c.index);
-  }
-  if (participants_.empty()) {
-    return false;
-  }
-  ++windows_;
-  if (lp::ChecksEnabled()) {
-    lp::SetCurrentWindow(windows_);  // diagnostics for violation reports
-  }
-  // Flip the outbox side: this round's producers write the fresh side while
-  // destinations drain the side CollectOutboxes just skimmed.
-  parity_ ^= 1;
-  return true;
-}
-
-void Simulator::DrainAllMail() {
-  // Deliver every undelivered outbox event into its destination queue (both
-  // sides; at most one is nonempty per bucket). Coordinator-only, between
-  // rounds: before serial instants — whose handlers may inspect any queue —
-  // and at run exit.
-  NC_LP_CHECK_COORDINATOR("Simulator::DrainAllMail");
-  for (Ctx& c : ctxs_) {
-    c.touched.clear();
-    for (size_t dest = 0; dest < c.out.size(); ++dest) {
-      OutBucket& bucket = c.out[dest];
-      for (std::vector<Event>& side : bucket.ev) {
-        if (side.empty()) {
-          continue;
-        }
-        Ctx& to = ctxs_[dest];
-        for (Event& ev : side) {
-          NC_CHECK(ev.time >= to.now)
-              << "cross-partition event lands at t=" << ev.time
-              << " ns, before its destination LP already reached t=" << to.now
-              << " ns; cross-partition schedules must carry at least the "
-                 "link-path propagation distance (run with --sim-threads=0 "
-                 "if the workload cannot)";
-          to.queue.Push(std::move(ev));
-        }
-        side.clear();
-      }
-    }
-  }
-  for (size_t i = 0; i < mail_min_.size(); ++i) {
-    mail_min_[i] = kNeverTime;
-  }
-  participants_.clear();
-}
-
-void Simulator::RunSerialInstant(SimTime t) {
-  // Drain every event at exactly `t`, across all queues, in (key) order.
-  // Handlers may schedule more events at `t` (into any partition — no round
-  // is active); the rescan picks them up in canonical order.
-  ProfScope prof(ProfCat::kSerialFence);
-  uint64_t executed = 0;
-  for (;;) {
-    Ctx* best = nullptr;
-    for (Ctx& c : ctxs_) {
-      if (c.queue.next_time() != t) {
-        continue;
-      }
-      if (best == nullptr || c.queue.top().key < best->queue.top().key) {
-        best = &c;
-      }
-    }
-    if (best == nullptr) {
-      break;
-    }
-    if (best->now != t) {
-      SamplePeak(*best);
-    }
-    Event ev = best->queue.Pop();
-    best->now = t;
-    ++best->events;
-    ++executed;
-    // Install the event's home context so nested schedules stamp the right
-    // stream (an LP's event re-arming itself stays in that LP).
-    Ctx* prev = tls_ctx_;
-    tls_ctx_ = best;
-    DispatchIn(*best, ev, /*coalesce=*/false);
-    tls_ctx_ = prev;
-  }
-  prof.set_arg(executed);
-}
-
-void Simulator::RunRound() {
-  in_window_ = true;
-  const size_t nparts = participants_.size();
-  if (threads_ == 1 || nparts == 1) {
-    // Single lane (or a round too small to be worth a barrier): run the
-    // identical schedule inline. Content and counters cannot differ — this
-    // is the --sim-threads=1 byte-identity path.
-    for (uint32_t idx : participants_) {
-      RunLpWindow(ctxs_[idx]);
-    }
-  } else {
-    StartWorkers();
-    for (BarrierNode& node : barrier_) {
-      node.count.store(0, std::memory_order_relaxed);
-    }
-    uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
-    epoch_.store(epoch, std::memory_order_release);
-    for (size_t k = 0; k < nparts; k += threads_) {
-      RunLpWindow(ctxs_[participants_[k]]);
-    }
-    ProfScope prof(ProfCat::kBarrierWait);
-    int spins = 0;
-    while (round_done_.load(std::memory_order_acquire) != epoch) {
-      if (++spins >= 256) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-  }
-  in_window_ = false;
-}
-
-void Simulator::RunLpWindow(Ctx& lp) {
-  Ctx* prev = tls_ctx_;
-  tls_ctx_ = &lp;
-  // Publish the executing LP for the runtime ownership sanitizer: every
-  // NC_LP_CHECK fired from events in this round compares owners against
-  // lp.index. Serial instants and boundary drains deliberately run with LP 0
-  // (the coordinator), which the sanitizer lets touch anything.
-  lp::ScopedExecutor lp_exec(lp.index);
-  DrainInbox(lp);
-  const SimTime wend = lp.wend;
-  if (lp.queue.next_time() >= wend) {
-    // Participated (mail forced the turn) but nothing executable below the
-    // horizon. Counted (sim metric + profiler histogram bin 0) but never
-    // timed — stalls are too cheap to clock.
-    ++lp.stalls;
-    Profiler::CountWindowStall(lp.index);
-    tls_ctx_ = prev;
-    return;
-  }
-  {
-    ProfScope prof(ProfCat::kLpExecute, lp.index);
-    uint64_t before = lp.events;
-    do {
-      if (lp.queue.top().time != lp.now) {
-        SamplePeak(lp);
-      }
-      Event ev = lp.queue.Pop();
-      lp.now = ev.time;
-      ++lp.events;
-      DispatchIn(lp, ev, coalesce_);
-    } while (lp.queue.next_time() < wend);
-    prof.set_arg(lp.events - before);
-  }
-  tls_ctx_ = prev;
-}
-
-void Simulator::DrainInbox(Ctx& lp) {
-  // Merge last round's mail addressed to this LP — the outbox side producers
-  // are NOT writing this round — into the local queue. Runs on the LP's own
-  // lane, so the coordinator's boundary section no longer pays O(events)
-  // merge work. Mail always lands at or beyond the destination's horizon;
-  // the check against lp.now is the exact causality condition and fires
-  // identically at every worker count (the schedule is content-determined).
-  ProfScope prof(ProfCat::kMerge, lp.index);
-  uint64_t merged = 0;
-  const uint32_t side = parity_ ^ 1;
-  for (Ctx& src : ctxs_) {
-    if (&src == &lp || src.out.empty()) {
-      continue;
-    }
-    std::vector<Event>& mail = src.out[lp.index].ev[side];
-    if (mail.empty()) {
-      continue;
-    }
-    for (Event& ev : mail) {
-      NC_CHECK(ev.time >= lp.now)
-          << "cross-partition event lands at t=" << ev.time
-          << " ns, before its destination LP already reached t=" << lp.now
-          << " ns; cross-partition schedules must carry at least the "
-             "link-path propagation distance (run with --sim-threads=0 if "
-             "the workload cannot)";
-      ++merged;
-      lp.queue.Push(std::move(ev));
-    }
-    mail.clear();
-  }
-  prof.set_arg(merged);
-}
-
-void Simulator::StartWorkers() {
-  if (!workers_.empty()) {
-    return;
-  }
-  // Barrier tree over the W = threads_-1 workers, kBarrierArity children per
-  // node, leaves first; the root arrival publishes the epoch to round_done_.
-  const size_t nworkers = threads_ - 1;
-  barrier_level_.clear();
-  size_t level_width = nworkers;
-  for (;;) {
-    size_t nodes = (level_width + kBarrierArity - 1) / kBarrierArity;
-    barrier_level_.push_back(barrier_.size());
-    for (size_t i = 0; i < nodes; ++i) {
-      barrier_.emplace_back();
-      barrier_.back().expect = static_cast<uint32_t>(
-          std::min(kBarrierArity, level_width - i * kBarrierArity));
-    }
-    if (nodes == 1) {
-      break;
-    }
-    level_width = nodes;
-  }
-  workers_.reserve(nworkers);
-  for (size_t slot = 1; slot < threads_; ++slot) {
-    workers_.emplace_back([this, slot] { WorkerMain(slot); });
-  }
-}
-
-void Simulator::StopWorkers() {
-  if (workers_.empty()) {
-    return;
-  }
-  shutdown_.store(true, std::memory_order_release);
-  for (std::thread& t : workers_) {
-    t.join();
-  }
-  workers_.clear();
-}
-
-void Simulator::BarrierArrive(size_t worker, uint64_t epoch) {
-  size_t level = 0;
-  size_t idx = worker / kBarrierArity;
-  for (;;) {
-    BarrierNode& node = barrier_[barrier_level_[level] + idx];
-    // acq_rel: the completing arrival must observe the siblings' LP writes
-    // before propagating (and ultimately publishing) completion.
-    if (node.count.fetch_add(1, std::memory_order_acq_rel) + 1 != node.expect) {
-      return;
-    }
-    if (level + 1 == barrier_level_.size()) {
-      round_done_.store(epoch, std::memory_order_release);
-      return;
-    }
-    idx /= kBarrierArity;
-    ++level;
-  }
-}
-
-void Simulator::WorkerMain(size_t slot) {
-  uint64_t seen = 0;
-  for (;;) {
-    // Time the barrier park manually (no RAII): a spin that ends in shutdown
-    // is simulator teardown, not a stall, and must not be recorded — it
-    // would book the whole post-run idle tail as barrier-wait.
-    uint64_t wait_start = Profiler::TickIfEnabled();
-    uint64_t e;
-    int spins = 0;
-    while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-      if (shutdown_.load(std::memory_order_acquire)) {
-        return;
-      }
-      if (++spins >= 256) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-    seen = e;
-    Profiler::RecordSince(ProfCat::kBarrierWait, 0, wait_start);
-    for (size_t k = slot; k < participants_.size(); k += threads_) {
-      RunLpWindow(ctxs_[participants_[k]]);
-    }
-    BarrierArrive(slot - 1, seen);
-  }
-}
-
-void Simulator::RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce) {
-  c.batch.clear();
-  c.batch.push_back(first);
+void Simulator::RunDelivery(const DeliveryRec& first) {
+  batch_.clear();
+  batch_.push_back(first);
   // The pop site counted this record as one event; a burst record stands for
   // its whole transmit group, so top up to the per-packet weight.
-  c.events += RecWeight(first) - 1;
-  if (coalesce) {
-    // Extend the burst only while the stream's next event is a delivery to
-    // the same node at the same instant. Anything else — a closure event, a
-    // later timestamp, another destination — ends the batch, which is what
-    // makes burst processing output-equivalent to the sequential schedule
-    // (see the header comment). In parallel mode a node's deliveries all land
-    // in its own LP queue, so LP-local adjacency is global adjacency.
-    while (!c.queue.empty()) {
-      const Event& front = c.queue.top();
-      if (!front.is_delivery || front.time != c.now || front.del.node != first.node) {
+  events_ += RecWeight(first) - 1;
+  if (coalesce_) {
+    // Extend the burst only while the next event is a delivery to the same
+    // node at the same instant. Anything else — a closure event, a later
+    // timestamp, another destination — ends the batch, which is what makes
+    // burst processing output-equivalent to the sequential schedule (see the
+    // header comment).
+    while (!queue_.empty()) {
+      const Event& front = queue_.top();
+      if (!front.is_delivery || front.time != now_ || front.del.node != first.node) {
         break;
       }
-      Event next = c.queue.Pop();
-      c.events += RecWeight(next.del);  // each coalesced delivery still counts
-      c.batch.push_back(next.del);
+      Event next = queue_.Pop();
+      events_ += RecWeight(next.del);  // each coalesced delivery still counts
+      batch_.push_back(next.del);
     }
   }
-  // The destination node's handler (and its delivery accounting below) must
-  // execute in the node's own partition — the routing in ScheduleDeliveryAt
-  // guarantees it, and the sanitizer re-checks at dispatch so a handler that
-  // re-entered the dispatcher from a foreign LP aborts here.
-  NC_LP_CHECK("Node packet dispatch", first.node->name().c_str(), first.node->lp());
   // Book the link-side delivery accounting for the whole batch up front.
   // Safe for the batch > 1 case: no other event runs between these
   // deliveries in the sequential schedule either, so nothing can observe
   // the intermediate stat states this reorders across. A burst record books
   // its whole group in one call (same totals, same instant).
-  for (const DeliveryRec& r : c.batch) {
+  for (const DeliveryRec& r : batch_) {
     if (r.link != nullptr) {
       r.link->AccountDelivery(r.from_end, r.bytes, static_cast<uint32_t>(RecWeight(r)));
     }
   }
   // Expand records into arrivals in record order — a burst record's entries
   // sit exactly where its per-packet twin records would have — and retire
-  // consumed group buffers into this context's freelist (buffers migrate
-  // across partitions like PacketPool payloads; the delivery event itself
-  // orders the handoff).
-  c.arrivals.clear();
-  for (const DeliveryRec& r : c.batch) {
+  // consumed group buffers into the freelist.
+  arrivals_.clear();
+  for (const DeliveryRec& r : batch_) {
     if (r.burst != nullptr) {
       for (const auto& [pkt, bytes] : r.burst->entries) {
-        c.arrivals.push_back(BurstArrival{pkt, r.port});
+        arrivals_.push_back(BurstArrival{pkt, r.port});
       }
-      c.burst_free.push_back(r.burst);
+      burst_free_.push_back(r.burst);
     } else {
-      c.arrivals.push_back(BurstArrival{r.pkt, r.port});
+      arrivals_.push_back(BurstArrival{r.pkt, r.port});
     }
   }
-  if (c.arrivals.size() == 1) {
-    const BurstArrival& a = c.arrivals[0];
+  if (arrivals_.size() == 1) {
+    const BurstArrival& a = arrivals_[0];
     first.node->HandlePacket(*a.pkt, a.port);
-    c.pool.Release(a.pkt);
+    pool_.Release(a.pkt);
     return;
   }
-  if (!coalesce) {
+  if (!coalesce_) {
     // Reference schedule (--no-burst): dispatch per packet, in order. A
     // burst record reaching here still unrolls one HandlePacket per entry —
     // exactly the schedule its per-packet twin records would have produced.
-    for (const BurstArrival& a : c.arrivals) {
+    for (const BurstArrival& a : arrivals_) {
       first.node->HandlePacket(*a.pkt, a.port);
-      c.pool.Release(a.pkt);
+      pool_.Release(a.pkt);
     }
     return;
   }
-  ++c.bursts;
-  c.burst_pkts += c.arrivals.size();
-  first.node->HandleBurst(c.arrivals.data(), c.arrivals.size());
+  ++bursts_;
+  burst_pkts_ += arrivals_.size();
+  first.node->HandleBurst(arrivals_.data(), arrivals_.size());
   // A handler may steal a packet (rewrite and re-schedule it) by nulling the
   // pointer; everything still here goes back to the pool.
-  for (const BurstArrival& a : c.arrivals) {
+  for (const BurstArrival& a : arrivals_) {
     if (a.pkt != nullptr) {
-      c.pool.Release(a.pkt);
+      pool_.Release(a.pkt);
     }
   }
-}
-
-size_t Simulator::PendingEvents() const {
-  size_t n = 0;
-  for (const Ctx& c : ctxs_) {
-    n += c.queue.size();
-    for (const OutBucket& bucket : c.out) {
-      // Outbox mail is rare enough to weigh per event (burst records count
-      // as their group size, matching the queue accounting above).
-      for (const std::vector<Event>& side : bucket.ev) {
-        for (const Event& ev : side) {
-          n += ev.is_delivery ? RecWeight(ev.del) : 1;
-        }
-      }
-    }
-  }
-  return n;
-}
-
-uint64_t Simulator::events_processed() const {
-  uint64_t n = 0;
-  for (const Ctx& c : ctxs_) {
-    n += c.events;
-  }
-  return n;
-}
-
-uint64_t Simulator::bursts_dispatched() const {
-  uint64_t n = 0;
-  for (const Ctx& c : ctxs_) {
-    n += c.bursts;
-  }
-  return n;
-}
-
-uint64_t Simulator::burst_packets() const {
-  uint64_t n = 0;
-  for (const Ctx& c : ctxs_) {
-    n += c.burst_pkts;
-  }
-  return n;
-}
-
-uint64_t Simulator::event_queue_peak() const {
-  uint64_t peak = 0;
-  for (const Ctx& c : ctxs_) {
-    peak = std::max(peak, c.peak);
-  }
-  return peak;
-}
-
-uint64_t Simulator::queue_sorted_inserts() const {
-  uint64_t n = 0;
-  for (const Ctx& c : ctxs_) {
-    n += c.queue.sorted_inserts();
-  }
-  return n;
 }
 
 void Simulator::EventQueue::Reserve(size_t capacity) {
@@ -855,32 +189,13 @@ void Simulator::EventQueue::WheelInsert(uint32_t idx) {
     slab_[idx].tail = idx;
     return;
   }
+  // Keys are issued in increasing order, so a new event always sorts after
+  // everything pending in its slot.
   Event& head = slab_[heads_[s]];
-  if (slab_[head.tail].key < slab_[idx].key) {
-    slab_[head.tail].link = idx;
-    head.tail = idx;
-    return;
-  }
-  SortedInsert(heads_[s], idx);
-}
-
-void Simulator::EventQueue::SortedInsert(uint32_t& head, uint32_t idx) {
-  // The slot's tail key exceeds ours (keys are unique), so the walk below
-  // stops before running off the list.
-  ++sorted_inserts_;
-  const uint64_t key = slab_[idx].key;
-  if (key < slab_[head].key) {
-    slab_[idx].link = head;
-    slab_[idx].tail = slab_[head].tail;
-    head = idx;
-    return;
-  }
-  uint32_t prev = head;
-  while (slab_[slab_[prev].link].key < key) {
-    prev = slab_[prev].link;
-  }
-  slab_[idx].link = slab_[prev].link;
-  slab_[prev].link = idx;
+  NC_CHECK(slab_[head.tail].key < slab_[idx].key)
+      << "event key " << slab_[idx].key << " pushed behind key " << slab_[head.tail].key;
+  slab_[head.tail].link = idx;
+  head.tail = idx;
 }
 
 Simulator::Event Simulator::EventQueue::Pop() {

@@ -1,120 +1,50 @@
-// Discrete-event simulation engine: serial dispatcher plus an optional
-// conservative-parallel mode (adaptive per-LP horizons, deterministic merge).
+// Discrete-event simulation engine: one serial dispatcher over one event
+// queue.
 //
-// Serial mode (the default): single-threaded, deterministic — events fire in
-// (time, insertion-sequence) order, so two events scheduled for the same
-// instant run in the order they were scheduled. All times are nanoseconds of
-// simulated time.
+// Single-threaded and deterministic: events fire in (time, key) order, where
+// the key is a per-simulator insertion sequence, so two events scheduled for
+// the same instant run in the order they were scheduled. All times are
+// nanoseconds of simulated time. A Simulator instance is single-threaded;
+// parallel sweeps run one Simulator per trial on worker threads
+// (core/sweep.h).
 //
 // Hot-path design (the per-event cost bounds every packet-level experiment):
 //   - events hold an InlineFunction, so closures up to kInlineFunctionBytes
 //     capture bytes never touch the heap (std::function allocated per event);
-//   - each stream's queue is a calendar queue (EventQueue below): a wheel of
+//   - the queue is a calendar queue (EventQueue below): a wheel of
 //     one-nanosecond slots over the next 2^15 ns, found through an
 //     occupancy bitmap, plus a small binary heap of 24-byte index entries
 //     for events beyond that window. Events sit in a reservable slab and are
 //     moved once in and once out, so a steady-state run performs zero queue
 //     allocations and no per-level 96-byte moves;
-//   - a per-partition PacketPool recycles the Packet buffers that in-flight
-//     closures reference (see net/packet_pool.h);
+//   - a PacketPool recycles the Packet buffers that in-flight closures
+//     reference (see net/packet_pool.h);
 //   - packet deliveries are typed events (DeliveryRec in a union with the
 //     closure), which lets the dispatcher coalesce same-instant deliveries
 //     to one node into a burst (VPP-style vector processing) handed to
 //     Node::HandleBurst.
 //
 // Burst formation and determinism: a burst is formed ONLY from delivery
-// events that are adjacent in the executing partition's (time, key) order —
-// same timestamp, same destination node, with no other event between them.
-// Newly scheduled events always receive a larger key than everything pending
-// in their stream, so in the sequential schedule those deliveries would have
-// run back-to-back with nothing observable in between; processing them as one
-// burst (with each packet's side effects issued at its own in-order turn, as
-// Node::HandleBurst's default per-packet loop and StorageServer::HandleBurst
-// do) is therefore output-equivalent.
-//
-// Parallel mode (ConfigurePartitions): nodes are labeled with a logical
-// process (LP) via Node::set_lp; each LP owns its own event queue, packet pool
-// shard and event-sequence counter. Every event carries a canonical 64-bit
-// key = (stream << 48) | local_seq, where stream 0 is the global/legacy
-// stream and stream i is LP i; (time, key) is a total order over all events,
-// and an unpartitioned simulation stamps everything with stream 0, making the
-// serial schedule a special case of the same order.
-//
-// Execution alternates two phases:
-//   - serial instants: whenever the earliest pending event lives in the
-//     global stream (controllers, pollers, invariant checkers), the
-//     coordinator drains every event at exactly that timestamp — from all
-//     queues, in canonical key order — on one thread. Global events may touch
-//     any node, so they serialize the whole simulation for their instant.
-//     Because the global stream now only bounds windows when a global event
-//     is actually due (plus the t0+G cap below), an idle control plane costs
-//     no fences at all.
-//   - adaptive rounds (per-LP horizons, null-message-free Chandy–Misra-style
-//     conservative sync): with next_j the earliest pending event time of LP j
-//     (queue top or undelivered cross-LP mail addressed to j, whichever is
-//     earlier), every LP i gets its own safe horizon
-//
-//         horizon_i = min( tg,                      // next global event
-//                          t0 + G,                  // earliest possible NEW
-//                                                   // global event (t0 =
-//                                                   // min_j next_j, G the
-//                                                   // global lookahead)
-//                          min_j next_j + D(j, i) ) // channel clocks
-//
-//     where D(j, i) is the all-pairs shortest-path propagation distance over
-//     cross-partition links (Floyd–Warshall at ConfigurePartitions time; the
-//     transitive closure is what makes the bound sound when influence relays
-//     through an idle intermediate LP). Each participating LP executes its
-//     local events with time < horizon_i concurrently; LPs with no work
-//     before their horizon and no pending mail skip the round entirely
-//     instead of spinning through a stalled window. The link's integer-
-//     picosecond serialization grid guarantees any delivery lands at least
-//     propagation + 1 ns after the instant that produced it, so mail always
-//     lands at or beyond the destination's horizon (re-checked fatally at
-//     drain time).
-//
-// Cross-partition events produced inside a round are buffered in per-
-// (source, destination) outbox buckets, double-buffered by round parity: the
-// producer appends to this round's side while the destination drains the
-// previous round's side into its own queue at the start of its next turn —
-// so the coordinator's boundary section only skims bucket minima (O(LPs)),
-// not every staged event. An LP with pending mail always participates in the
-// next round, which is what bounds every bucket's lifetime to one round per
-// side. Because keys are a total order, an event queue's pop sequence depends
-// only on its content set, so merge order is irrelevant and the parallel run
-// is byte-identical to the same round schedule on one thread
-// (--sim-threads=1).
-//
-// Cross-LP scheduling contract (enforced fatally at drain time): a packet
-// delivery satisfies it by construction; a direct cross-LP ScheduleAtFor
-// must carry at least D(src, dst); ScheduleGlobal from LP context requires a
-// declared global lookahead G (SetGlobalLookahead) and a delay of at least
-// G. Topologies that never ScheduleGlobal from LP context leave G unset and
-// horizons uncapped by the global stream. Workloads that cannot honor the
-// contract run with --sim-threads=0.
-//
-// Degenerate lookahead (a cross-partition link with zero propagation delay)
-// is detected at ConfigurePartitions time and falls back to the serial
-// dispatcher with a logged warning rather than deadlocking or reordering.
-//
-// Parallel sweeps still run one Simulator per trial on worker threads
-// (core/sweep.h); a Simulator instance is externally single-threaded — the
-// internal round workers are invisible to callers.
+// events that are adjacent in (time, key) order — same timestamp, same
+// destination node, with no other event between them. Newly scheduled events
+// always receive a larger key than everything pending, so in the sequential
+// schedule those deliveries would have run back-to-back with nothing
+// observable in between; processing them as one burst (with each packet's
+// side effects issued at its own in-order turn, as Node::HandleBurst's
+// default per-packet loop and StorageServer::HandleBurst do) is therefore
+// output-equivalent.
 
 #ifndef NETCACHE_NET_SIMULATOR_H_
 #define NETCACHE_NET_SIMULATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <new>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/inline_function.h"
-#include "common/lp_ownership.h"
 #include "common/time_units.h"
 #include "net/node.h"
 #include "net/packet_pool.h"
@@ -132,8 +62,7 @@ class Link;
 // carrying these entries; off, it becomes adjacent per-packet records at the
 // same instant — the timing model is shared, so the two modes are
 // byte-identical end to end (determinism_test holds them together).
-// Buffers are pooled per simulator context and migrate between contexts the
-// way PacketPool payloads do.
+// Buffers are pooled per simulator (see Simulator::AcquireEgressBurst).
 struct EgressBurst {
   SimTime open_time = 0;     // the instant whose accepted transmits joined
   SimTime last_tx_done = 0;  // latest member's serialization end (ns grid)
@@ -163,7 +92,7 @@ class Simulator {
   struct DeliveryRec {
     Node* node = nullptr;
     uint32_t port = 0;
-    Packet* pkt = nullptr;  // owned by a packet pool shard; released after dispatch
+    Packet* pkt = nullptr;  // owned by the packet pool; released after dispatch
     Link* link = nullptr;
     int from_end = 0;
     uint32_t bytes = 0;  // wire bytes; for a burst record, the group total
@@ -178,83 +107,28 @@ class Simulator {
   // `reserve_events` pre-sizes the event queue; steady-state runs should never
   // grow it. The default comfortably covers a busy single-rack simulation.
   explicit Simulator(size_t reserve_events = kDefaultReserveEvents);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Simulated now of the executing partition (they agree whenever code that
-  // can observe more than one partition runs: serial instants and between
-  // RunUntil calls).
-  SimTime Now() const { return cur()->now; }
+  SimTime Now() const { return now_; }
 
-  // Schedules `fn` to run `delay` ns from now, in the partition of whatever
-  // context is executing (the global stream outside of any event handler, or
-  // in serial mode).
-  void Schedule(SimDuration delay, EventFn fn) {
-    ScheduleAt(Now() + delay, std::move(fn));
-  }
+  // Schedules `fn` to run `delay` ns from now.
+  void Schedule(SimDuration delay, EventFn fn) { ScheduleAt(now_ + delay, std::move(fn)); }
 
   // Schedules `fn` at absolute time `at`. Scheduling into the past would
   // silently misorder the causal chain, so `at < Now()` is a fatal error.
   void ScheduleAt(SimTime at, EventFn fn);
 
-  // Node-affine scheduling: the event runs in `node`'s partition regardless
-  // of which context schedules it. Self-rescheduling per-node machinery (a
-  // workload driver's send loop, a server's service completion) must use
-  // these, or a single serial instant would capture the chain into the
-  // global stream forever. Identical to Schedule/ScheduleAt in serial mode.
-  // Targeting a FOREIGN LP from inside a round must carry at least the
-  // link-path distance D(src, dst) (see the header comment).
-  void ScheduleFor(Node* node, SimDuration delay, EventFn fn) {
-    ScheduleAtFor(node, Now() + delay, std::move(fn));
-  }
-  void ScheduleAtFor(Node* node, SimTime at, EventFn fn);
-
-  // Schedules into the global stream explicitly: control-plane work that may
-  // touch nodes in several partitions (controller queue pumps, invariant
-  // checkers). Runs in a serial instant when partitioned. Calling this from
-  // LP context requires SetGlobalLookahead, with `delay` at least that
-  // lookahead (enforced fatally at drain time).
-  void ScheduleGlobal(SimDuration delay, EventFn fn) {
-    ScheduleGlobalAt(Now() + delay, std::move(fn));
-  }
-  void ScheduleGlobalAt(SimTime at, EventFn fn);
-
   // Schedules a packet delivery at absolute time `at` (Link::Transmit's
-  // delivery leg). Runs in the destination node's partition.
+  // delivery leg).
   void ScheduleDeliveryAt(SimTime at, const DeliveryRec& rec);
 
-  // Called by Link's constructor so ConfigurePartitions can compute the
-  // lookahead from the topology.
-  void RegisterLink(Link* link) { links_.push_back(link); }
-
-  // Switches to parallel mode with `num_lps` logical processes executed by
-  // `threads` threads (clamped to num_lps; 1 runs the round schedule on
-  // the calling thread, which is what makes --sim-threads=1 vs =N
-  // byte-identical). Nodes must already be labeled via Node::set_lp with
-  // values in [1, num_lps]; unlabeled nodes (lp 0) run in the global stream.
-  // Call after the topology is wired, before running. Returns false — and
-  // stays in serial mode — if any cross-partition link has zero propagation
-  // delay (zero lookahead would make windows empty and the engine would
-  // deadlock conservatively; see header comment).
-  bool ConfigurePartitions(size_t num_lps, size_t threads);
-
-  // Declares a lower bound on the delay of any LP-context ScheduleGlobal,
-  // which becomes the t0+G cap on round horizons. Unset (the default) means
-  // "no LP ever schedules into the global stream": horizons are then capped
-  // only by pending global events and per-LP channel clocks, and an
-  // LP-context ScheduleGlobal dies at drain time. A topology whose LP->
-  // global producers carry a physical control-plane latency (e.g. the cache
-  // controller's control_op_latency) declares that latency here. Call after
-  // ConfigurePartitions, before running; must be > 0.
-  void SetGlobalLookahead(SimDuration g);
-  SimDuration global_lookahead() const { return global_lookahead_; }
-
-  bool partitioned() const { return partitioned_; }
-  size_t num_lps() const { return ctxs_.size() - 1; }
-  size_t sim_threads() const { return threads_; }
-  SimDuration lookahead() const { return lookahead_; }
+  // Read-only compatibility constants for perfbench/, which still reports
+  // the dispatcher kind: there is one serial dispatcher and no worker
+  // threads.
+  static constexpr bool partitioned() { return false; }
+  static constexpr size_t sim_threads() { return 0; }
 
   // Toggles burst coalescing of same-instant deliveries (on by default).
   // Off, every delivery dispatches through HandlePacket one event at a time —
@@ -270,79 +144,61 @@ class Simulator {
   void set_egress_batching(bool on) { egress_batch_ = on; }
   bool egress_batching() const { return egress_batch_; }
 
-  // Transmit-group buffer pool, sharded like packet_pool(): acquire in the
-  // sending LP, release wherever the group is consumed (buffers migrate).
+  // Transmit-group buffer pool: a flushed group's buffer comes back when its
+  // delivery is consumed.
   EgressBurst* AcquireEgressBurst() {
-    Ctx* c = cur();
-    if (c->burst_free.empty()) {
-      c->burst_arena.emplace_back();
-      return &c->burst_arena.back();
+    if (burst_free_.empty()) {
+      burst_arena_.emplace_back();
+      return &burst_arena_.back();
     }
-    EgressBurst* g = c->burst_free.back();
-    c->burst_free.pop_back();
+    EgressBurst* g = burst_free_.back();
+    burst_free_.pop_back();
     g->entries.clear();
     return g;
   }
-  void ReleaseEgressBurst(EgressBurst* g) { cur()->burst_free.push_back(g); }
+  void ReleaseEgressBurst(EgressBurst* g) { burst_free_.push_back(g); }
 
-  // Grows the global event queue to hold at least `capacity` pending events
+  // Grows the event queue to hold at least `capacity` pending events
   // without reallocating mid-run.
-  void ReserveEvents(size_t capacity) { ctxs_[0].queue.Reserve(capacity); }
+  void ReserveEvents(size_t capacity) { queue_.Reserve(capacity); }
 
-  // Runs events until every queue is empty or simulated time would exceed
+  // Runs events until the queue is empty or simulated time would exceed
   // `until`. Events at exactly `until` are executed.
   void RunUntil(SimTime until);
 
-  // Runs until the event queues drain completely.
+  // Runs until the event queue drains completely.
   void RunAll();
 
-  size_t PendingEvents() const;
-  size_t EventCapacity() const { return ctxs_[0].queue.capacity(); }
-
-  // Pushes, summed over every stream, that arrived below their wheel slot's
-  // tail key and took the event queue's sorted-insert path (see
-  // EventQueue). Always 0 for an unpartitioned run: one stream's keys are
-  // pushed in increasing order.
-  uint64_t queue_sorted_inserts() const;
+  size_t PendingEvents() const { return queue_.size(); }
+  size_t EventCapacity() const { return queue_.capacity(); }
 
   // Total events executed since construction. Deterministic for a fixed seed,
   // so benches report it as their work measure (events/sec). Every delivery
   // in a coalesced burst still counts as one event here.
-  uint64_t events_processed() const;
+  uint64_t events_processed() const { return events_; }
 
   // Burst diagnostics. Deliberately NOT wired into any metrics registry:
   // coalescing must be invisible in exported JSON (the burst-vs-single
   // determinism leg diffs those files byte-for-byte).
-  uint64_t bursts_dispatched() const;
-  uint64_t burst_packets() const;
+  uint64_t bursts_dispatched() const { return bursts_; }
+  uint64_t burst_packets() const { return burst_pkts_; }
 
-  // Event-queue pressure, exported as sim.* metrics by Rack. The peak is
+  // Event-queue pressure, exported as a sim.* metric by Rack. The peak is
   // sampled when the dispatcher advances to a new timestamp — NOT per push —
-  // so it is identical with and without burst coalescing and across
-  // --sim-threads values (the determinism legs diff metrics JSON
-  // byte-for-byte). A window stall is a round an LP participated in (forced
-  // by pending mail) but found no event below its horizon; a merged window
-  // is a round whose per-LP horizon exceeded the legacy global
-  // min(T0)+lookahead window end. Both are schedule properties, identical
-  // across worker counts.
-  uint64_t event_queue_peak() const;
-  uint64_t lp_window_stalls(size_t lp) const { return ctxs_[lp].stalls; }
-  uint64_t lp_windows_merged(size_t lp) const { return ctxs_[lp].windows_merged; }
-  uint64_t windows_run() const { return windows_; }
+  // so it is identical with and without burst coalescing (the determinism
+  // legs diff metrics JSON byte-for-byte).
+  uint64_t event_queue_peak() const { return peak_; }
 
-  // Freelist for Packet payloads referenced by in-flight closures; resolves
-  // to the executing partition's shard in parallel mode.
-  PacketPool& packet_pool() { return cur()->pool; }
+  // Freelist for Packet payloads referenced by in-flight closures.
+  PacketPool& packet_pool() { return pool_; }
 
  private:
   static constexpr size_t kDefaultReserveEvents = 4096;
-  static constexpr int kStreamShift = 48;
   static constexpr SimTime kNeverTime = ~SimTime{0};
-  static constexpr size_t kBarrierArity = 4;
 
   struct Event {
     SimTime time;
-    uint64_t key;  // (stream << kStreamShift) | per-stream sequence
+    uint64_t key;  // insertion sequence: orders events of one instant
     bool is_delivery;
     // EventQueue's intrusive slot list: the slab index of the next event in
     // the same wheel slot, and — meaningful only in a slot's head — of the
@@ -397,8 +253,8 @@ class Simulator {
       }
     }
 
-    // Queue order: earliest time first, canonical key within one instant.
-    // With a single stream the key degenerates to insertion sequence (FIFO).
+    // Queue order: earliest time first, insertion sequence (FIFO) within one
+    // instant.
     bool Before(const Event& other) const {
       if (time != other.time) {
         return time < other.time;
@@ -407,7 +263,7 @@ class Simulator {
     }
   };
 
-  // One stream's pending events, popped in (time, key) order: a calendar
+  // The pending events, popped in (time, key) order: a calendar
   // queue. Events live in a slab and are moved once in (Push) and once out
   // (Pop); the ordering structures hold only slab indices.
   //   - Wheel: kSlots one-nanosecond slots covering [base, base + kSlots),
@@ -417,10 +273,8 @@ class Simulator {
   //     occupancy bitmap.
   //     Every event in a slot has the same timestamp (two times in the
   //     window that share a slot are equal), so a slot's list only has to be
-  //     in key order. Within one stream keys come from a monotone counter,
-  //     so a push appends at the tail; an arrival whose key is below the
-  //     tail's (cross-partition mail, a global event scheduling into an LP)
-  //     takes the counted sorted-insert slow path instead.
+  //     in key order. Keys come from a monotone counter, so a push always
+  //     appends at the tail (checked fatally in WheelInsert).
   //   - Far heap: a binary heap of 24-byte {time, key, slot} entries for
   //     events at or beyond base + kSlots when pushed (reply timers,
   //     controller and poller ticks). A far event is never migrated into the
@@ -430,8 +284,7 @@ class Simulator {
   //     base) and the far heap's top. It is kept current by every Push and
   //     Pop, so peeking is a load.
   // The pop sequence therefore depends only on the set of (time, key) pairs
-  // pushed, exactly as a binary heap's did — which is what keeps merge order
-  // in the parallel dispatcher irrelevant.
+  // pushed, exactly as a binary heap's would.
   class EventQueue {
    public:
     static constexpr size_t kSlots = size_t{1} << kEventWheelBits;
@@ -455,8 +308,6 @@ class Simulator {
 
     void Reserve(size_t capacity);
     size_t capacity() const { return slab_.capacity(); }
-    // Pushes that could not append at their slot's tail.
-    uint64_t sorted_inserts() const { return sorted_inserts_; }
 
    private:
     static constexpr size_t kMask = kSlots - 1;
@@ -475,7 +326,6 @@ class Simulator {
 
     uint32_t Store(Event ev);
     void WheelInsert(uint32_t idx);
-    void SortedInsert(uint32_t& head, uint32_t idx);
     void FarPush(const FarEntry& e);
     void FarPop();
     size_t FindSlot(size_t from) const;
@@ -494,153 +344,38 @@ class Simulator {
     size_t size_ = 0;        // records pending
     size_t wheel_size_ = 0;  // records pending in the wheel
     uint64_t extra_ = 0;     // burst records' weight beyond one each
-    uint64_t sorted_inserts_ = 0;
   };
 
-  // One per-(source, destination) cross-partition mail bucket, double-
-  // buffered by round parity: the producing LP appends to side (round & 1)
-  // during a round; the destination drains side (1 - round & 1) — last
-  // round's mail — at the start of its next participating turn. The two
-  // sides are never touched by two threads at once, and the window barrier's
-  // release/acquire chain orders the side handoff.
-  struct OutBucket {
-    std::vector<Event> ev[2];
-    SimTime min_time[2] = {0, 0};  // valid while the side is nonempty
-  };
-
-  // One event stream. ctxs_[0] is the global/legacy stream; ctxs_[1..P] are
-  // the logical processes of parallel mode. Each is touched by exactly one
-  // thread at a time: its round worker inside a round, the coordinator
-  // everywhere else (handoffs ordered by the round barrier).
-  struct Ctx {
-    NC_LP_SHARED Simulator* sim = nullptr;  // wiring-time, immutable after setup
-    NC_LP_SHARED uint32_t index = 0;
-    NC_LP_OWNED SimTime now = 0;
-    NC_LP_OWNED uint64_t next_lseq = 0;
-    NC_LP_OWNED uint64_t events = 0;
-    NC_LP_OWNED uint64_t peak = 0;    // max queue size, sampled at timestamp advances
-    NC_LP_OWNED uint64_t stalls = 0;  // participating rounds with no local work
-    NC_LP_OWNED uint64_t bursts = 0;
-    NC_LP_OWNED uint64_t burst_pkts = 0;
-    NC_LP_OWNED EventQueue queue;
-    // Cross-partition mail produced inside a round, one bucket per
-    // destination ctx index. The producing stream owns this round's parity
-    // side; each destination drains its own bucket's other side (see
-    // OutBucket). `touched` lists destinations whose current side went
-    // nonempty this round; the coordinator consumes and clears it at the
-    // boundary.
-    NC_LP_OWNED std::vector<OutBucket> out;
-    NC_LP_OWNED std::vector<uint32_t> touched;
-    // Per-round horizon and merged-window counter, written by the
-    // coordinator at the round boundary (barrier-ordered).
-    NC_LP_FENCED SimTime wend = 0;
-    NC_LP_FENCED uint64_t windows_merged = 0;
-    // Scratch buffers for RunDelivery, members so steady state allocates
-    // nothing per burst.
-    NC_LP_OWNED std::vector<DeliveryRec> batch;
-    NC_LP_OWNED std::vector<BurstArrival> arrivals;
-    NC_LP_OWNED PacketPool pool;
-    // Transmit-group buffer pool shard (see AcquireEgressBurst). The arena
-    // owns storage — pointer-stable, freed wholesale at destruction, so a
-    // group still sitting in a queue at teardown leaks nothing. The freelist
-    // holds recycled buffers; like PacketPool payloads, buffers migrate to
-    // the consuming context's freelist.
-    NC_LP_OWNED std::deque<EgressBurst> burst_arena;
-    NC_LP_OWNED std::vector<EgressBurst*> burst_free;
-  };
-
-  // Sense-reversing tree barrier node (arity kBarrierArity), padded to a
-  // cache line so sibling arrivals don't false-share. The "sense" is the
-  // round's epoch: the coordinator zeroes all counts before releasing the
-  // next epoch, so a node never carries state across rounds.
-  struct alignas(64) BarrierNode {
-    std::atomic<uint32_t> count{0};
-    uint32_t expect = 0;
-  };
-
-  // The executing context: the global stream unless a round worker or a
-  // serial-instant dispatch installed an LP on this thread. The sim match
-  // guards against stale TLS from another Simulator (parallel sweeps).
-  Ctx* cur() const {
-    if (!partitioned_) {
-      return legacy_;
-    }
-    Ctx* c = tls_ctx_;
-    return (c != nullptr && c->sim == this) ? c : legacy_;
-  }
-
-  uint64_t NextKey(Ctx& c) {
-    return (static_cast<uint64_t>(c.index) << kStreamShift) | c.next_lseq++;
-  }
-
-  SimDuration Dist(size_t from, size_t to) const {
-    return dist_[from * ctxs_.size() + to];
-  }
-
-  void Route(Ctx& from, Ctx& to, Event ev);
-  void RunWindowed(SimTime until);
-  void RunSerialInstant(SimTime t);
-  void CollectOutboxes();
-  bool BuildRound(SimTime t0, SimTime tg, SimTime until);
-  void DrainAllMail();
-  void RunRound();
-  void RunLpWindow(Ctx& lp);
-  void DrainInbox(Ctx& lp);
-  void DispatchIn(Ctx& c, Event& ev, bool coalesce);
-  void RunDelivery(Ctx& c, const DeliveryRec& first, bool coalesce);
-  void StartWorkers();
-  void StopWorkers();
-  void WorkerMain(size_t slot);
-  void BarrierArrive(size_t worker, uint64_t epoch);
-  void SamplePeak(Ctx& c) {
-    size_t sz = c.queue.size();
-    if (sz > c.peak) {
-      c.peak = sz;
+  // Dispatches every event at or before `until`, as one profiler execute span.
+  void Drain(SimTime until);
+  void RunDelivery(const DeliveryRec& first);
+  void SamplePeak() {
+    size_t sz = queue_.size();
+    if (sz > peak_) {
+      peak_ = sz;
     }
   }
 
-  NC_LP_SHARED bool coalesce_ = true;   // set before running, read-only after
-  NC_LP_SHARED bool egress_batch_ = true;  // set before running, read-only after
-  NC_LP_SHARED bool partitioned_ = false;
-  // True only between a round's kick and its barrier; cross-partition
-  // schedules are staged into outbox buckets instead of pushed while set.
-  // Written by the coordinator outside the parallel region, so the barrier's
-  // release/acquire pair orders it for the workers.
-  NC_LP_FENCED bool in_window_ = false;
-  // Round parity selecting the outbox side producers write (flipped by the
-  // coordinator at each boundary; the other side is being drained).
-  NC_LP_FENCED uint32_t parity_ = 0;
-  NC_LP_SHARED size_t threads_ = 1;
-  NC_LP_SHARED SimDuration lookahead_ = 0;
-  NC_LP_SHARED SimDuration global_lookahead_ = 0;  // 0 = default to lookahead_
-  NC_LP_FENCED uint64_t windows_ = 0;     // coordinator-only, between rounds
-  NC_LP_SHARED std::deque<Ctx> ctxs_;  // deque: Ctx owns a PacketPool and must never move
-  NC_LP_SHARED Ctx* legacy_ = nullptr;  // &ctxs_[0]
-  NC_LP_SHARED std::vector<Link*> links_;  // wiring-time registry
-
-  // Per-link-clock state, coordinator-only between rounds: all-pairs
-  // shortest-path propagation distances (wiring-time, immutable after
-  // ConfigurePartitions), each stream's earliest pending time, the earliest
-  // undelivered mail per destination, and the participant list of the
-  // current round (read by workers after the epoch acquire).
-  NC_LP_SHARED std::vector<SimDuration> dist_;  // (P+1)^2, row-major
-  NC_LP_FENCED std::vector<SimTime> next_;
-  NC_LP_FENCED std::vector<SimTime> mail_min_;
-  NC_LP_FENCED std::vector<uint32_t> participants_;
-
-  // Persistent spin-barrier round workers (slots 1..threads_-1; the
-  // coordinator executes slot 0). Spawned lazily on the first multi-threaded
-  // round, joined in the destructor. Workers park on epoch_ and arrive
-  // through the barrier tree; the root arrival publishes the epoch into
-  // round_done_.
-  NC_LP_SHARED std::vector<std::thread> workers_;  // coordinator start/join only
-  NC_LP_SHARED std::atomic<uint64_t> epoch_{0};
-  NC_LP_SHARED std::atomic<uint64_t> round_done_{0};
-  NC_LP_SHARED std::atomic<bool> shutdown_{false};
-  NC_LP_SHARED std::deque<BarrierNode> barrier_;   // tree levels, leaves first
-  NC_LP_SHARED std::vector<size_t> barrier_level_; // start index of each level
-
-  static thread_local Ctx* tls_ctx_;
+  bool coalesce_ = true;      // set before running
+  bool egress_batch_ = true;  // set before running
+  SimTime now_ = 0;
+  uint64_t next_key_ = 0;
+  uint64_t events_ = 0;
+  uint64_t peak_ = 0;  // max queue size, sampled at timestamp advances
+  uint64_t bursts_ = 0;
+  uint64_t burst_pkts_ = 0;
+  EventQueue queue_;
+  // Scratch buffers for RunDelivery, members so steady state allocates
+  // nothing per burst.
+  std::vector<DeliveryRec> batch_;
+  std::vector<BurstArrival> arrivals_;
+  PacketPool pool_;
+  // Transmit-group buffer pool (see AcquireEgressBurst). The arena owns
+  // storage — pointer-stable, freed wholesale at destruction, so a group
+  // still sitting in the queue at teardown leaks nothing. The freelist holds
+  // recycled buffers.
+  std::deque<EgressBurst> burst_arena_;
+  std::vector<EgressBurst*> burst_free_;
 };
 
 }  // namespace netcache

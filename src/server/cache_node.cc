@@ -47,7 +47,7 @@ void CacheNode::StartNextIfIdle() {
   Packet* job = sim_->packet_pool().Acquire();
   *job = std::move(queue_.front());
   queue_.pop_front();
-  sim_->ScheduleFor(this, ServiceTime(), [this, job] {
+  sim_->Schedule(ServiceTime(), [this, job] {
     Process(*job);
     sim_->packet_pool().Release(job);
     busy_ = false;

@@ -25,7 +25,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "common/lp_ownership.h"
 #include "common/time_units.h"
 #include "net/node.h"
 #include "net/simulator.h"
@@ -79,20 +78,20 @@ class CacheNode : public Node {
   void CacheInsert(const Key& key, const Value& value);
   void Touch(const Key& key);
 
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED CacheNodeConfig config_;
-  NC_LP_SHARED std::function<IpAddress(const Key&)> owner_of_;
+  Simulator* sim_;
+  CacheNodeConfig config_;
+  std::function<IpAddress(const Key&)> owner_of_;
 
-  NC_LP_OWNED std::deque<Packet> queue_;
-  NC_LP_OWNED bool busy_ = false;
+  std::deque<Packet> queue_;
+  bool busy_ = false;
 
-  NC_LP_OWNED std::list<Key> lru_;  // front = most recent
-  NC_LP_OWNED std::unordered_map<Key, Entry, KeyHasher> index_;
+  std::list<Key> lru_;  // front = most recent
+  std::unordered_map<Key, Entry, KeyHasher> index_;
   // Miss queries we forwarded, keyed by sequence number, so the storage
   // server's reply can be relayed (and admitted into the cache).
-  NC_LP_OWNED std::unordered_map<uint32_t, IpAddress> pending_;
+  std::unordered_map<uint32_t, IpAddress> pending_;
 
-  NC_LP_OWNED CacheNodeStats stats_;
+  CacheNodeStats stats_;
 };
 
 }  // namespace netcache

@@ -225,9 +225,7 @@ void StorageServer::StartNextIfIdle(size_t core_index) {
     TraceSpan(TraceEvent::kServerDequeue, TraceQueryId(*job), sim_->Now(), config_.ip,
               core_index);
   }
-  // Node-affine: the service chain re-arms itself and must stay in this
-  // server's partition under parallel DES.
-  sim_->ScheduleFor(this, ServiceTime(), [this, core_index, job] {
+  sim_->Schedule(ServiceTime(), [this, core_index, job] {
     Process(*job);
     sim_->packet_pool().Release(job);
     Core& done = cores_[core_index];
@@ -378,7 +376,7 @@ void StorageServer::BeginCacheUpdate(const Key& key, const Value& value, bool ha
 
 void StorageServer::ScheduleUpdateRetry(const Key& key, uint64_t epoch) {
   // Light-weight reliable delivery (§6): retransmit until acked.
-  sim_->ScheduleFor(this, config_.update_retry_timeout, [this, key, epoch] {
+  sim_->Schedule(config_.update_retry_timeout, [this, key, epoch] {
     auto it = pending_updates_.find(key);
     if (it == pending_updates_.end() || it->second.epoch != epoch) {
       return;  // acked or superseded

@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/lp_ownership.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -193,33 +192,30 @@ class StorageServer : public Node {
   void ScheduleUpdateRetry(const Key& key, uint64_t epoch);
   void ReleaseBlock(const Key& key);
 
-  // LP ownership: the data path (cores, queues, coherence bookkeeping,
-  // stats) belongs to this server's LP; the store is the one piece of state
-  // shared with the controller's control channel and is mutex-protected
-  // (covered by -Wthread-safety, hence NC_LP_SHARED); online_ is flipped only
-  // by failover harness code in the global stream.
-  NC_LP_SHARED Simulator* sim_;
-  NC_LP_SHARED ServerConfig config_;
-  NC_LP_SHARED mutable Mutex store_mu_;
-  NC_LP_SHARED KvStore store_ NC_GUARDED_BY(store_mu_);
-  NC_LP_FENCED bool online_ = true;
+  // The store is the one piece of state shared with the controller's
+  // control channel and is mutex-protected (covered by -Wthread-safety).
+  Simulator* sim_;
+  ServerConfig config_;
+  mutable Mutex store_mu_;
+  KvStore store_ NC_GUARDED_BY(store_mu_);
+  bool online_ = true;
 
-  NC_LP_OWNED std::vector<Core> cores_;
+  std::vector<Core> cores_;
 
-  NC_LP_OWNED std::unordered_map<Key, BlockState, KeyHasher> blocked_;
-  NC_LP_OWNED std::unordered_map<Key, PendingUpdate, KeyHasher> pending_updates_;
-  NC_LP_OWNED uint64_t update_epoch_ = 0;
+  std::unordered_map<Key, BlockState, KeyHasher> blocked_;
+  std::unordered_map<Key, PendingUpdate, KeyHasher> pending_updates_;
+  uint64_t update_epoch_ = 0;
 
-  NC_LP_SHARED UpdateRejectHandler update_reject_;  // installed at wiring time
-  NC_LP_OWNED ServerStats stats_;
+  UpdateRejectHandler update_reject_;  // installed at wiring time
+  ServerStats stats_;
 
   // Burst-window scratch (HandleBurst stage 1), reserved on first use and
   // reused every window so the steady-state receive path never allocates.
-  NC_LP_OWNED std::vector<const uint8_t*> burst_key_ptrs_;  // keys needing a digest
-  NC_LP_OWNED std::vector<uint32_t> burst_pos_;             // their arrival indices
-  NC_LP_OWNED std::vector<uint64_t> burst_dh1_, burst_dh2_; // SIMD digest lanes
-  NC_LP_OWNED std::vector<uint32_t> burst_core_;  // per-arrival core, kBurstNotData if non-data
-  NC_LP_OWNED std::vector<uint64_t> burst_h1_;    // per-arrival key hash (data packets only)
+  std::vector<const uint8_t*> burst_key_ptrs_;  // keys needing a digest
+  std::vector<uint32_t> burst_pos_;             // their arrival indices
+  std::vector<uint64_t> burst_dh1_, burst_dh2_; // SIMD digest lanes
+  std::vector<uint32_t> burst_core_;  // per-arrival core, kBurstNotData if non-data
+  std::vector<uint64_t> burst_h1_;    // per-arrival key hash (data packets only)
 };
 
 }  // namespace netcache

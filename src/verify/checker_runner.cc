@@ -49,8 +49,7 @@ void CheckerRunner::Stop() {
 
 void CheckerRunner::ScheduleNext(SimDuration interval) {
   uint64_t gen = generation_;
-  // Global stream: checkers read state across every partition.
-  sim_->ScheduleGlobal(interval, [this, gen, interval] {
+  sim_->Schedule(interval, [this, gen, interval] {
     if (!running_ || gen != generation_) {
       return;
     }

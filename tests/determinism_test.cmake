@@ -2,10 +2,11 @@
 #   cmake -DSIM=<netcache_sim> -DWORK_DIR=<dir> -P determinism_test.cmake
 #
 # 1. Runs netcache_sim rack twice with the same seed and asserts the metrics
-#    JSON is byte-identical. Invariant checking stays on for both runs: the
-#    checkers are read-only, so they must not perturb the simulation. The
-#    second run adds --profile-out, so this same byte-diff also proves the
-#    profiler (common/profiler.h) never perturbs simulation results.
+#    JSON and the packet-lifecycle trace JSONL are byte-identical. Invariant
+#    checking stays on for both runs: the checkers are read-only, so they
+#    must not perturb the simulation. The second run adds --profile-out, so
+#    this same byte-diff also proves the profiler (common/profiler.h) never
+#    perturbs simulation results.
 # 2. Runs netcache_sim sweep once serially and once on 4 worker threads and
 #    asserts both stdout and the metrics JSON are byte-identical — the
 #    core/sweep.h contract that parallel execution never changes results.
@@ -13,33 +14,15 @@
 #    with --no-burst and asserts the metrics JSON is byte-identical — the
 #    net/simulator.h contract that coalescing same-instant deliveries into
 #    HandleBurst changes throughput, never results.
-# 4. Runs the rack under the partitioned schedule with --sim-threads=1, =4
-#    and =8 and asserts the metrics JSON is byte-identical across all three —
-#    the parallel-DES contract that worker count never changes results (the
-#    windowed schedule itself is allowed to differ from the legacy serial
-#    dispatcher only in event tie-breaking, so the reference here is the
-#    1-thread partitioned run, not determinism_a.json). All runs profile
-#    (--profile-out), so multi-threaded span recording is exercised under
-#    the byte-identity contract too. The =1 and =8 runs also write
-#    --trace-out and the packet-lifecycle trace JSONL must byte-match: the
-#    trace ring records from every worker and serializes in canonical
-#    (t, stream, seq) order.
-# 5. Runs the 8-worker rack again with the LP-ownership sanitizer armed
-#    (--lp-checks) and asserts the metrics JSON matches run 4's — the
-#    common/lp_ownership.h contract that the sanitizer observes, never
-#    perturbs.
-# 6. Runs the rack once with --no-simd and asserts the metrics JSON matches
+# 4. Runs the rack once with --no-simd and asserts the metrics JSON matches
 #    run 1's after stripping the config's "simd_level" field (the one
 #    intended difference) — the common/simd.h contract that the vectorized
 #    burst kernels are bit-identical to the scalar path.
-# 7. Runs the rack once with --no-egress-batch and asserts the metrics JSON
+# 5. Runs the rack once with --no-egress-batch and asserts the metrics JSON
 #    matches run 1's — the net/link.h contract that shipping a transmit group
 #    as one burst delivery record (vs adjacent per-packet records) changes
 #    record format only, never results.
 
-# 8 servers so the --sim-threads=8 leg gets 8 real workers (the simulator
-# clamps workers to the LP count, and a clamp surfaces as
-# sim_threads_effective in the JSON, which would break the byte-diff).
 set(FLAGS rack --servers=8 --offered=150000 --duration=0.2 --seed=1234
     --metrics-interval=0.05 --check-invariants=0.02 --write-ratio=0.1)
 
@@ -51,6 +34,7 @@ foreach(run a b)
   endif()
   execute_process(
     COMMAND ${SIM} ${FLAGS} ${profile_flag}
+            --trace-out=${WORK_DIR}/determinism_trace_${run}.jsonl
             --metrics-out=${WORK_DIR}/determinism_${run}.json
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
@@ -68,6 +52,16 @@ if(NOT diff_rc EQUAL 0)
   message(FATAL_ERROR
       "same-seed runs produced different metrics JSON "
       "(${WORK_DIR}/determinism_a.json vs determinism_b.json)")
+endif()
+
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/determinism_trace_a.jsonl ${WORK_DIR}/determinism_trace_b.jsonl
+  RESULT_VARIABLE diff_rc)
+if(NOT diff_rc EQUAL 0)
+  message(FATAL_ERROR
+      "same-seed runs produced different trace JSONL "
+      "(${WORK_DIR}/determinism_trace_a.jsonl vs determinism_trace_b.jsonl)")
 endif()
 
 # Parallel sweep vs serial sweep: stdout and JSON byte-identical.
@@ -126,79 +120,6 @@ if(NOT diff_rc EQUAL 0)
       "(${WORK_DIR}/determinism_a.json vs determinism_noburst.json)")
 endif()
 
-# Parallel DES: 1, 4 and 8 workers over the identical partitioned schedule,
-# invariant checkers on, metrics JSON byte-identical. The 1- and 8-worker
-# runs also record the packet-lifecycle trace, which must byte-match too.
-foreach(nthreads 1 4 8)
-  if(nthreads EQUAL 4)
-    set(trace_flag)
-  else()
-    set(trace_flag --trace-out=${WORK_DIR}/determinism_trace_${nthreads}.jsonl)
-  endif()
-  execute_process(
-    COMMAND ${SIM} ${FLAGS} --sim-threads=${nthreads} ${trace_flag}
-            --profile-out=${WORK_DIR}/determinism_prof_simthreads_${nthreads}.json
-            --metrics-out=${WORK_DIR}/determinism_simthreads_${nthreads}.json
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--sim-threads=${nthreads} run exited ${rc}:\n${out}\n${err}")
-  endif()
-endforeach()
-
-foreach(nthreads 4 8)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/determinism_simthreads_1.json
-            ${WORK_DIR}/determinism_simthreads_${nthreads}.json
-    RESULT_VARIABLE diff_rc)
-  if(NOT diff_rc EQUAL 0)
-    message(FATAL_ERROR
-        "--sim-threads=1 and --sim-threads=${nthreads} produced different "
-        "metrics JSON (${WORK_DIR}/determinism_simthreads_1.json vs "
-        "determinism_simthreads_${nthreads}.json)")
-  endif()
-endforeach()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/determinism_trace_1.jsonl
-          ${WORK_DIR}/determinism_trace_8.jsonl
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-      "--sim-threads=1 and --sim-threads=8 produced different trace JSONL: "
-      "multi-worker span recording must serialize canonically "
-      "(${WORK_DIR}/determinism_trace_1.jsonl vs determinism_trace_8.jsonl)")
-endif()
-
-# LP-ownership sanitizer (--lp-checks, common/lp_ownership.h): the runtime
-# checks are read-only assertions, so a checked 8-worker run must stay
-# byte-identical to the unchecked partitioned runs above — and must pass,
-# proving the production node/link/pool paths contain no cross-LP touches.
-execute_process(
-  COMMAND ${SIM} ${FLAGS} --sim-threads=8 --lp-checks
-          --metrics-out=${WORK_DIR}/determinism_lpchecks.json
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--lp-checks run exited ${rc}:\n${out}\n${err}")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/determinism_simthreads_8.json
-          ${WORK_DIR}/determinism_lpchecks.json
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-      "--lp-checks changed the metrics JSON: the ownership sanitizer must "
-      "observe, never perturb "
-      "(${WORK_DIR}/determinism_simthreads_8.json vs determinism_lpchecks.json)")
-endif()
-
 # SIMD vs scalar burst kernels (--no-simd, common/simd.h): the vectorized
 # digest/sketch/table probes must be bit-identical to the scalar path, so a
 # forced-scalar run matches the default run from step 1 byte-for-byte — except
@@ -218,7 +139,7 @@ endif()
 
 foreach(doc a nosimd)
   file(READ ${WORK_DIR}/determinism_${doc}.json contents)
-  string(REGEX REPLACE ",\"simd_level\":\"[a-z0-9]+\"" "" contents "${contents}")
+  string(REGEX REPLACE "\"simd_level\":\"[a-z0-9]+\"" "" contents "${contents}")
   file(WRITE ${WORK_DIR}/determinism_${doc}_nolevel.json "${contents}")
 endforeach()
 

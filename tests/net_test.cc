@@ -1,12 +1,8 @@
 // Tests for the discrete-event simulator, links and nodes.
 
 #include <algorithm>
-#include <array>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,8 +177,6 @@ TEST(EventQueueTest, RandomScheduleMatchesReferenceSort) {
   EXPECT_EQ(sched.fired(), sched.SortedSchedule());
   EXPECT_GT(sched.far_revisits(), 1000u);
   EXPECT_EQ(sim.PendingEvents(), 0u);
-  // One stream pushes keys in increasing order: every push appends.
-  EXPECT_EQ(sim.queue_sorted_inserts(), 0u);
 }
 
 TEST(EventQueueTest, RunUntilStopsAtUntilAndResumes) {
@@ -244,122 +238,6 @@ TEST(EventQueueTest, SlabDoesNotGrowInSteadyState) {
   EXPECT_GT(fired, 100000u);
 }
 
-TEST(EventQueueTest, PartitionedMailTakesTheSortedInsertPath) {
-  // Three LPs on a full mesh of 1 us links, plus global-stream events that
-  // schedule into the LPs during serial instants. Cross-LP mail and
-  // global-to-LP schedules carry keys of other streams, often below the
-  // tail key of the destination slot: the queue's counted sorted-insert
-  // path. Every stream must still run its events in (time, key) order,
-  // where key = (scheduling stream, that stream's schedule sequence). No
-  // delay here is 0: an event scheduled for the running instant from another
-  // stream may carry a smaller key than one that already ran, so only with
-  // positive delays is the fired order exactly the sorted schedule.
-  constexpr SimDuration kProp = 1000;
-  constexpr uint32_t kLps = 3;
-  using Rec = std::tuple<SimTime, uint32_t, uint64_t>;  // (time, stream, seq)
-  struct Run {
-    std::array<std::vector<Rec>, kLps + 1> fired;      // by executing stream
-    std::array<std::vector<std::pair<uint32_t, Rec>>, kLps + 1> sent;  // by sender
-    uint64_t sorted_inserts = 0;
-  };
-  auto run = [&](size_t threads) {
-    Run out;
-    Simulator sim;
-    std::deque<SinkNode> nodes;  // Node is immovable
-    for (uint32_t i = 0; i <= kLps; ++i) {
-      nodes.emplace_back("n" + std::to_string(i));
-      nodes.back().set_lp(i);
-    }
-    LinkConfig cfg;
-    cfg.propagation = kProp;
-    std::vector<std::unique_ptr<Link>> links;
-    uint32_t port[kLps + 1] = {};
-    for (uint32_t i = 1; i <= kLps; ++i) {
-      for (uint32_t j = i + 1; j <= kLps; ++j) {
-        links.push_back(std::make_unique<Link>(&sim, cfg));
-        links.back()->Connect(&nodes[i], port[i]++, &nodes[j], port[j]++);
-      }
-    }
-    EXPECT_TRUE(sim.ConfigurePartitions(kLps, threads));
-    // Per-stream state, touched only by that stream's events.
-    struct Stream {
-      uint64_t seq = 0;
-      uint64_t budget = 0;
-      Rng rng{0};
-    };
-    std::array<Stream, kLps + 1> streams;
-    for (uint32_t s = 0; s <= kLps; ++s) {
-      streams[s].budget = s == 0 ? 400 : 12000;
-      streams[s].rng = Rng(100 + s);
-    }
-    // Schedules an event into stream `dest` from stream `from`.
-    std::function<void(uint32_t, uint32_t, SimTime)> add;
-    std::function<void(uint32_t, Rec)> fire = [&](uint32_t home, Rec rec) {
-      EXPECT_EQ(sim.Now(), std::get<0>(rec));
-      out.fired[home].push_back(rec);
-      Stream& st = streams[home];
-      if (st.budget == 0) {
-        return;
-      }
-      --st.budget;
-      const SimTime now = sim.Now();
-      if (home == 0) {
-        // A control-plane tick: pokes every LP at a grid instant and re-arms
-        // itself.
-        for (uint32_t lp = 1; lp <= kLps; ++lp) {
-          add(0, lp, now + (1 + st.rng.NextBounded(8)) * 50);
-        }
-        add(0, 0, now + 5000 + st.rng.NextBounded(100) * 50);
-        return;
-      }
-      add(home, home, now + (1 + st.rng.NextBounded(40)) * 50);
-      if (st.rng.NextBounded(2) == 0) {
-        uint32_t to = 1 + static_cast<uint32_t>(st.rng.NextBounded(kLps));
-        SimDuration d = to == home ? 2 * kProp : kProp;
-        add(home, to, now + d + st.rng.NextBounded(40) * 50);
-      }
-    };
-    add = [&](uint32_t from, uint32_t dest, SimTime at) {
-      Rec rec{at, from, streams[from].seq++};
-      out.sent[from].emplace_back(dest, rec);
-      auto ev = [&fire, dest, rec] { fire(dest, rec); };
-      if (dest == 0) {
-        sim.ScheduleGlobalAt(at, ev);
-      } else {
-        sim.ScheduleAtFor(&nodes[dest], at, ev);
-      }
-    };
-    for (uint32_t lp = 1; lp <= kLps; ++lp) {
-      for (int k = 0; k < 8; ++k) {
-        add(0, lp, static_cast<SimTime>(k) * 100);
-      }
-    }
-    add(0, 0, 3000);
-    sim.RunAll();
-    out.sorted_inserts = sim.queue_sorted_inserts();
-    return out;
-  };
-  Run one = run(1);
-  for (uint32_t home = 0; home <= kLps; ++home) {
-    std::vector<Rec> expect;
-    for (const auto& sent : one.sent) {
-      for (const auto& [dest, rec] : sent) {
-        if (dest == home) {
-          expect.push_back(rec);
-        }
-      }
-    }
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(one.fired[home], expect) << "stream " << home;
-  }
-  EXPECT_GT(one.fired[1].size() + one.fired[2].size() + one.fired[3].size(), 30000u);
-  EXPECT_GT(one.sorted_inserts, 1000u);
-  // The worker count changes neither the schedule nor the slow-path count.
-  Run three = run(3);
-  EXPECT_EQ(three.fired, one.fired);
-  EXPECT_EQ(three.sorted_inserts, one.sorted_inserts);
-}
-
 TEST(LinkTest, DeliversWithSerializationAndPropagation) {
   Simulator sim;
   SinkNode a("a");
@@ -381,21 +259,36 @@ TEST(LinkTest, DeliversWithSerializationAndPropagation) {
 }
 
 TEST(LinkTest, BackToBackPacketsQueueBehindTransmitter) {
-  Simulator sim;
-  SinkNode a("a");
-  SinkNode b("b");
-  LinkConfig cfg;
-  cfg.bandwidth_gbps = 8.0;
-  cfg.propagation = 0;
-  Link link(&sim, cfg);
-  link.Connect(&a, 0, &b, 0);
-  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
-  size_t bytes = pkt.WireSize();
-  a.Send(0, pkt);
-  a.Send(0, pkt);  // same instant: serializes after the first
-  sim.RunAll();
-  EXPECT_EQ(b.received.size(), 2u);
-  EXPECT_EQ(sim.Now(), 2 * bytes);  // back-to-back serialization times
+  // Each input sends `count` packets `gap` ns apart over a 1 ns/byte link. A
+  // send that finds the transmitter busy serializes after the packet ahead
+  // of it, so the last arrival is the end of the deadline chain plus
+  // propagation.
+  struct Input {
+    int count;
+    SimDuration gap;
+    SimDuration propagation;
+  };
+  for (const Input& in : {Input{2, 0, 0}, Input{8, 150, 400}}) {
+    Simulator sim;
+    SinkNode a("a");
+    SinkNode b("b");
+    LinkConfig cfg;
+    cfg.bandwidth_gbps = 8.0;
+    cfg.propagation = in.propagation;
+    Link link(&sim, cfg);
+    link.Connect(&a, 0, &b, 0);
+    Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
+    const SimTime bytes = pkt.WireSize();
+    SimTime busy_until = 0;
+    for (int i = 0; i < in.count; ++i) {
+      const SimTime at = static_cast<SimTime>(i) * in.gap;
+      busy_until = std::max(at, busy_until) + bytes;
+      sim.ScheduleAt(at, [&a, pkt] { a.Send(0, pkt); });
+    }
+    sim.RunAll();
+    EXPECT_EQ(b.received.size(), static_cast<size_t>(in.count)) << "gap " << in.gap;
+    EXPECT_EQ(sim.Now(), busy_until + in.propagation) << "gap " << in.gap;
+  }
 }
 
 TEST(LinkTest, DropTailWhenQueueFull) {
@@ -438,119 +331,6 @@ TEST(NodeTest, SendOnUnwiredPortIsSafeNoop) {
   Packet pkt;
   a.Send(5, pkt);  // no crash, just a warning
   EXPECT_EQ(a.received.size(), 0u);
-}
-
-TEST(ParallelSimTest, ZeroPropagationLinkForcesSerialFallback) {
-  // A cross-partition link with zero propagation gives a zero lookahead: no
-  // window can make progress, so ConfigurePartitions must refuse (with a
-  // logged warning) and leave the simulator on the serial dispatcher rather
-  // than deadlock.
-  Simulator sim;
-  SinkNode a("a");
-  SinkNode b("b");
-  a.set_lp(1);
-  b.set_lp(2);
-  LinkConfig cfg;
-  cfg.bandwidth_gbps = 8.0;
-  cfg.propagation = 0;  // zero lookahead across LPs 1 and 2
-  Link link(&sim, cfg);
-  link.Connect(&a, 0, &b, 0);
-
-  EXPECT_FALSE(sim.ConfigurePartitions(2, 2));
-  EXPECT_FALSE(sim.partitioned());
-
-  // Traffic still flows, in order, on the serial path.
-  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
-  a.Send(0, pkt);
-  a.Send(0, pkt);
-  sim.RunAll();
-  EXPECT_EQ(b.received.size(), 2u);
-  EXPECT_EQ(link.stats(0).delivered, 2u);
-}
-
-TEST(ParallelSimTest, PartitionedRunMatchesSerialSchedule) {
-  // The same two-node ping stream executed serially and under a 2-LP
-  // partitioned schedule must deliver the same packets at the same times.
-  auto run = [](size_t sim_threads) {
-    Simulator sim;
-    SinkNode a("a");
-    SinkNode b("b");
-    LinkConfig cfg;
-    cfg.bandwidth_gbps = 8.0;
-    cfg.propagation = 400;
-    Link link(&sim, cfg);
-    link.Connect(&a, 0, &b, 0);
-    if (sim_threads > 0) {
-      a.set_lp(1);
-      b.set_lp(2);
-      EXPECT_TRUE(sim.ConfigurePartitions(2, sim_threads));
-    }
-    Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
-    for (int i = 0; i < 8; ++i) {
-      sim.ScheduleAtFor(&a, static_cast<SimTime>(i) * 150, [&a, pkt] {
-        Packet p = pkt;
-        a.Send(0, p);
-      });
-    }
-    sim.RunAll();
-    return std::pair<SimTime, size_t>(sim.Now(), b.received.size());
-  };
-  auto serial = run(0);
-  auto par1 = run(1);
-  auto par4 = run(4);
-  EXPECT_EQ(par1, par4);
-  EXPECT_EQ(serial.second, par1.second);
-  EXPECT_EQ(serial.first, par1.first);
-}
-
-TEST(ParallelSimTest, IdleLpSkipsRoundsAndBusyLpsMergeWindows) {
-  // Adaptive rounds: an LP with no pending work and no inbound mail must not
-  // be forced into rounds at all (no stall spins), and a busy LP whose
-  // neighbors are quiet gets a horizon wider than the legacy global
-  // min(T0) + lookahead window.
-  //
-  // Topology: a (LP1) -- 400ns --> b (LP2) -- 400ns --> c (LP3). All traffic
-  // is a -> b; c idles for the whole run.
-  Simulator sim;
-  SinkNode a("a");
-  SinkNode b("b");
-  SinkNode c("c");
-  a.set_lp(1);
-  b.set_lp(2);
-  c.set_lp(3);
-  LinkConfig cfg;
-  cfg.bandwidth_gbps = 8.0;
-  cfg.propagation = 400;
-  Link ab(&sim, cfg);
-  ab.Connect(&a, 0, &b, 0);
-  Link bc(&sim, cfg);
-  bc.Connect(&b, 1, &c, 0);
-  ASSERT_TRUE(sim.ConfigurePartitions(3, 2));
-
-  Packet pkt = MakeGet(1, 2, Key::FromUint64(1), 1);
-  constexpr int kPackets = 50;
-  for (int i = 0; i < kPackets; ++i) {
-    // Spaced far wider than the 400ns lookahead: legacy fixed windows would
-    // burn ~12 empty windows between sends; adaptive rounds must not.
-    sim.ScheduleAtFor(&a, static_cast<SimTime>(i) * 5000, [&a, pkt] {
-      Packet p = pkt;
-      a.Send(0, p);
-    });
-  }
-  sim.RunAll();
-
-  EXPECT_EQ(b.received.size(), static_cast<size_t>(kPackets));
-  EXPECT_TRUE(c.received.empty());
-  // The idle LP never participated: a skipped round costs nothing, a forced
-  // one would have counted a stall.
-  EXPECT_EQ(sim.lp_window_stalls(3), 0u);
-  // a's horizon is bounded by its own send->reply cycle (800ns) and by b's
-  // clock, not by the 400ns link lookahead: windows merged.
-  EXPECT_GT(sim.lp_windows_merged(1), 0u);
-  // Adaptive rounds stay event-bound, not lookahead-bound: the run spans
-  // 250us, which would be >600 fixed 400ns windows even if fully idle ones
-  // were free.
-  EXPECT_LT(sim.windows_run(), 4u * kPackets);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "client/workload_driver.h"
 #include "core/rack.h"
 #include "workload/generator.h"
 
@@ -251,69 +250,6 @@ TEST(RackIntegrationTest, MixedWorkloadDrainsConsistently) {
   EXPECT_EQ(verifier.RunOnce(), 0u);
   EXPECT_EQ(verifier.total_violations(), 0u);
   EXPECT_GT(verifier.runs(), 1u);
-}
-
-TEST(RackIntegrationTest, ParallelEquivalence) {
-  // A driver-based mixed workload run under the partitioned schedule with
-  // 1 worker and with 4 workers must produce identical final counters: the
-  // parallel merge is deterministic by construction. This test also runs
-  // under the ThreadSanitizer CI leg, where the 4-thread run exercises the
-  // window barrier and cross-partition staging under race detection.
-  struct Outcome {
-    uint64_t completed, sent, cache_hits, server_reads, events, windows;
-    bool operator==(const Outcome& o) const {
-      return completed == o.completed && sent == o.sent && cache_hits == o.cache_hits &&
-             server_reads == o.server_reads && events == o.events && windows == o.windows;
-    }
-  };
-  auto run = [](size_t sim_threads) {
-    RackConfig cfg = TestRack();
-    cfg.sim_threads = sim_threads;
-    cfg.num_servers = 4;
-    cfg.server_template.service_rate_qps = 100e3;
-    Rack rack(cfg);
-    rack.Populate(1000, 64);
-    WorkloadConfig wl;
-    wl.num_keys = 1000;
-    wl.zipf_alpha = 0.99;
-    wl.write_ratio = 0.1;
-    wl.seed = 7;
-    WorkloadGenerator gen(wl);
-    std::vector<Key> hot;
-    for (uint64_t id : gen.popularity().TopKeys(32)) {
-      hot.push_back(K(id));
-    }
-    rack.WarmCache(hot);
-    rack.StartController();
-    DriverConfig dc;
-    dc.rate_qps = 200e3;
-    WorkloadDriver driver(&rack.sim(), &rack.client(0), &gen, rack.OwnerFn(), dc);
-    driver.Start();
-    rack.sim().RunUntil(50 * kMillisecond);
-    driver.Stop();
-    rack.sim().RunUntil(60 * kMillisecond);
-    Outcome o;
-    o.completed = driver.completed();
-    o.sent = driver.sent();
-    o.cache_hits = rack.tor().counters().cache_hits;
-    o.server_reads = 0;
-    for (size_t i = 0; i < rack.num_servers(); ++i) {
-      o.server_reads += rack.server(i).stats().reads;
-    }
-    o.events = rack.sim().events_processed();
-    o.windows = rack.sim().windows_run();
-    return o;
-  };
-  Outcome serial = run(1);
-  Outcome parallel = run(4);
-  EXPECT_TRUE(serial == parallel)
-      << "completed " << serial.completed << "/" << parallel.completed << " sent "
-      << serial.sent << "/" << parallel.sent << " hits " << serial.cache_hits << "/"
-      << parallel.cache_hits << " reads " << serial.server_reads << "/"
-      << parallel.server_reads << " events " << serial.events << "/" << parallel.events
-      << " windows " << serial.windows << "/" << parallel.windows;
-  EXPECT_GT(serial.completed, 0u);
-  EXPECT_GT(serial.cache_hits, 0u);
 }
 
 }  // namespace

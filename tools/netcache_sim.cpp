@@ -36,7 +36,6 @@
 #include "client/workload_driver.h"
 #include "common/cli.h"
 #include "common/json_writer.h"
-#include "common/lp_ownership.h"
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/simd.h"
@@ -62,10 +61,6 @@ int Usage(const char* program) {
                "           --no-burst (disable same-instant delivery coalescing)\n"
                "           --no-egress-batch (ship transmit groups as per-packet\n"
                "                              delivery records; byte-identical output)\n"
-               "           --sim-threads=N (parallel DES: one logical process per\n"
-               "                            server plus one for switch+clients, run\n"
-               "                            on N threads; 0=serial dispatcher;\n"
-               "                            byte-identical for every N >= 1)\n"
                "           --trace=FILE (replay a G/P/D trace instead of synthetic load)\n"
                "sweep:     --zipf=A[,B...] --cache=N[,M...] --reps --seed --threads\n"
                "           --serial --servers --rate --keys --offered --duration\n"
@@ -82,10 +77,6 @@ int Usage(const char* program) {
                "                                     re-check every SECS simulated seconds\n"
                "                                     (default 0.05) plus a final sweep;\n"
                "                                     exits 1 on any violation\n"
-               "           --lp-checks               runtime LP-ownership sanitizer: abort\n"
-               "                                     with an attributed diagnostic if any\n"
-               "                                     event touches state owned by another\n"
-               "                                     logical process (parallel DES)\n"
                "           --no-simd                 force the scalar SIMD level (same as\n"
                "                                     NETCACHE_SIMD=OFF); output is\n"
                "                                     byte-identical either way\n"
@@ -174,12 +165,6 @@ int RunRack(ArgParser& args) {
   std::string trace_out = args.GetString("trace-out", "");
   std::string profile_out = args.GetString("profile-out", "");
   size_t profile_limit = static_cast<size_t>(args.GetInt("profile-limit", 1 << 18));
-  size_t sim_threads_requested = static_cast<size_t>(args.GetInt("sim-threads", 0));
-  cfg.sim_threads = sim_threads_requested;
-  // --trace-out no longer constrains --sim-threads: every record carries a
-  // (stream, seq) stamp and WriteJsonl sorts by (t, stream, seq), so the
-  // serialized trace is byte-identical at any worker count as long as the
-  // ring did not wrap (checked after the run).
   size_t trace_limit = static_cast<size_t>(args.GetInt("trace-limit", 65536));
   double check_interval_s = 0;
   bool check_invariants = ParseCheckInvariants(args, &check_interval_s);
@@ -194,9 +179,6 @@ int RunRack(ArgParser& args) {
     return 2;
   }
 
-  // Declared before the Rack so it outlives the simulator: a window worker
-  // may still hold the profiler pointer it loaded at span entry when the
-  // profiler is uninstalled (see common/profiler.h, "Ownership").
   std::unique_ptr<Profiler> profiler;
 
   Rack rack(cfg);
@@ -207,15 +189,9 @@ int RunRack(ArgParser& args) {
   // record or as per-packet records, with identical timing and counters
   // either way (determinism_test holds the legs together byte-for-byte).
   rack.sim().set_egress_batching(!args.GetBool("no-egress-batch", false));
-  // The effective worker count can differ from the request: a zero-lookahead
-  // topology falls back to the serial dispatcher. Recorded in the metrics
-  // JSON when they differ so downstream comparisons see what actually ran.
-  size_t sim_threads_effective =
-      rack.sim().partitioned() ? rack.sim().sim_threads() : 0;
   if (!profile_out.empty()) {
     Profiler::Options popts;
     popts.spans_per_lane = profile_limit;
-    popts.max_lps = rack.sim().num_lps() + 1;
     profiler = std::make_unique<Profiler>(popts);
     InstallProfiler(profiler.get());
   }
@@ -340,12 +316,6 @@ int RunRack(ArgParser& args) {
       std::printf("trace           %llu events to %s (%llu overwritten)\n",
                   static_cast<unsigned long long>(tracer->size()), trace_out.c_str(),
                   static_cast<unsigned long long>(tracer->dropped()));
-      if (tracer->dropped() > 0 && cfg.sim_threads > 1) {
-        std::fprintf(stderr,
-                     "warning: trace ring wrapped under a multi-worker run; "
-                     "WHICH events survived is schedule-dependent — raise "
-                     "--trace-limit for a byte-stable trace\n");
-      }
     }
   }
   if (profiler != nullptr) {
@@ -372,17 +342,9 @@ int RunRack(ArgParser& args) {
     bool ok = WriteJsonFile(metrics_out, [&](JsonWriter& w) {
       w.BeginObject();
       w.Field("command", "rack");
-      // Execution config that affects comparability. `schedule` says which
-      // dispatcher actually ran; `sim_threads_effective` appears only when
-      // it differs from the requested --sim-threads (zero-lookahead
-      // fallback) — an unconditional field would break the determinism legs
-      // that byte-diff --sim-threads=1 against =4.
+      // Execution config that affects comparability.
       w.Name("config");
       w.BeginObject();
-      w.Field("schedule", rack.sim().partitioned() ? "windowed" : "serial");
-      if (sim_threads_effective != sim_threads_requested) {
-        w.Field("sim_threads_effective", static_cast<uint64_t>(sim_threads_effective));
-      }
       // "avx2" | "scalar". The determinism leg that diffs --no-simd against
       // a native run strips this line before comparing (it is the one
       // intended difference).
@@ -903,14 +865,6 @@ int Main(int argc, char** argv) {
   const std::string& command = args.positional()[0];
   if (args.GetBool("no-simd", false)) {
     ForceScalarSimd();
-  }
-  if (args.GetBool("lp-checks", false)) {
-#if NETCACHE_LP_CHECKS
-    lp::SetChecksEnabled(true);
-#else
-    std::fprintf(stderr,
-                 "--lp-checks ignored: built with -DNETCACHE_LP_CHECKS=OFF\n");
-#endif
   }
   int rc;
   if (command == "rack") {

@@ -1,41 +1,32 @@
 #!/usr/bin/env python3
-"""Aggregate a netcache profile (--profile-out JSON) into a stall-attribution report.
+"""Aggregate a netcache profile (--profile-out JSON) into an attribution report.
 
 The profile is Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)
-with an extra top-level "netcache" object carrying exact per-lane and per-LP
-aggregates maintained by the profiler itself.  This tool reads only that
-summary block, so the report is exact even when the per-lane span buffers
-overflowed (spans_dropped > 0 merely truncates the *timeline*, never the
-aggregates).
+with an extra top-level "netcache" object carrying exact per-lane aggregates
+maintained by the profiler itself.  This tool reads only that summary block,
+so the report is exact even when the per-lane span buffers overflowed
+(spans_dropped > 0 merely truncates the *timeline*, never the aggregates).
 
 Default mode prints:
   * per-lane wall-clock attribution: what fraction of each recording thread's
-    active extent went to round execution, barrier waits, inbound-mail merge,
-    serial fences, and round-boundary coordination (the five buckets that
-    partition a DES worker's life);
-  * the switch-pipeline breakdown (digest / match+peek / value-serve), which
-    nests *inside* lp_execute spans and is therefore reported as a
-    within-execute breakdown, never added to the lane buckets;
-  * per-LP busy table (exec ms, windows, events/window, stalled windows);
-  * the events-per-window histogram (bin 0 = stalled window, bin k covers
-    [2^(k-1), 2^k - 1] events).
+    active extent went to the dispatcher's execute spans (one per
+    Simulator::RunUntil / RunAll call);
+  * the switch-pipeline breakdown (digest / match+peek / value-serve) and the
+    server and egress stages, which nest *inside* execute spans and are
+    therefore reported as a within-execute breakdown, never added to the
+    lane bucket.
 
 Modes:
   --validate         structural validation only (for CI): checks the trace is
                      well-formed and self-consistent, exit 0/1.
   --min-attributed=F fail (exit 1) unless the DES-active lanes' attributed
-                     fraction (execute+barrier+merge+fence+coordinate over
-                     lane extents) is at least F (e.g. 0.9).
-  --scaling-baseline=BASE.json
-                     also print a scaling-efficiency line: this profile's
-                     events/s against the (typically 1-worker) baseline
-                     profile's, and the per-worker parallel efficiency.
+                     fraction (execute time over lane extents) is at least F
+                     (e.g. 0.9).
 
 Usage:
   tools/profile_report.py PROFILE.json
   tools/profile_report.py --validate PROFILE.json
   tools/profile_report.py --min-attributed=0.9 PROFILE.json
-  tools/profile_report.py --scaling-baseline=prof_1worker.json prof_8worker.json
 """
 
 import argparse
@@ -47,11 +38,12 @@ import sys
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 # Must match ProfCat / ProfCatName in src/common/profiler.h.
-DES_CATS = ("lp_execute", "barrier_wait", "merge", "serial_fence", "coordinate")
+DES_CATS = ("execute",)
 SWITCH_CATS = ("switch_digest", "switch_match_peek", "switch_value_serve")
-# Server service stages and link egress-flush; nested inside lp_execute like
+# Server service stages and link egress-flush; nested inside execute like
 # the switch stages (service completions and transmit-group flushes dispatch
-# from LP events), so they are a breakdown of execute, never an extra bucket.
+# from simulator events), so they are a breakdown of execute, never an extra
+# bucket.
 SERVER_CATS = ("server_lookup", "server_reply", "egress_flush")
 ALL_CATS = DES_CATS + SWITCH_CATS + SERVER_CATS
 
@@ -107,7 +99,7 @@ def validate(doc: dict) -> list:
     nc = doc.get("netcache")
     if not check(isinstance(nc, dict), "netcache summary block missing"):
         return problems
-    check(nc.get("version") == 1, f"unsupported summary version {nc.get('version')!r}")
+    check(nc.get("version") == 2, f"unsupported summary version {nc.get('version')!r}")
     lanes = nc.get("lanes")
     if not check(isinstance(lanes, list) and lanes, "netcache.lanes missing or empty"):
         return problems
@@ -132,25 +124,16 @@ def validate(doc: dict) -> list:
                   f"lane {lid}: last_ns < first_ns")
             cat_ns = sum(cats.get(c, {}).get("ns", 0) for c in DES_CATS)
             extent = lane.get("last_ns", 0) - lane.get("first_ns", 0)
-            # Switch spans nest inside lp_execute, so DES cats alone must fit
+            # Stage spans nest inside execute, so DES cats alone must fit
             # the extent (tiny slack for the final span's own duration).
             check(cat_ns <= extent + cat_ns * 0.01 + 1_000_000,
                   f"lane {lid}: bucket ns {cat_ns} exceeds extent {extent}")
-        bins = lane.get("window_events_bins")
-        check(isinstance(bins, list) and all(isinstance(b, int) and b >= 0 for b in bins),
-              f"lane {lid}: window_events_bins malformed")
 
     # Every span in the timeline must be accounted for by the lane summaries.
     if isinstance(events, list):
         n_x = sum(1 for ev in events if isinstance(ev, dict) and ev.get("ph") == "X")
         check(n_x == total_spans,
               f"timeline has {n_x} spans but lane summaries claim {total_spans}")
-
-    for lp in nc.get("lps", []):
-        check(isinstance(lp, dict) and lp.get("exec_ns", -1) >= 0 and
-              lp.get("windows", -1) >= 0 and lp.get("events", -1) >= 0 and
-              lp.get("stall_windows", -1) >= 0,
-              f"lps entry malformed: {lp}")
     return problems
 
 
@@ -162,49 +145,6 @@ def pct(part: float, whole: float) -> str:
     return f"{100.0 * part / whole:5.1f}%" if whole > 0 else "    -"
 
 
-def bin_label(k: int) -> str:
-    if k == 0:
-        return "0 (stall)"
-    lo, hi = 1 << (k - 1), (1 << k) - 1
-    return str(lo) if lo == hi else f"{lo}-{hi}"
-
-
-def des_throughput(doc: dict):
-    """(events, extent_ns, des_lanes) for a profile's DES work.
-
-    Events counts everything dispatched by the scheduler: per-LP round
-    execution (lp_execute arg) plus global-stream serial instants
-    (serial_fence arg).  Extent is the union of the DES lanes' activity.
-    """
-    lanes = doc["netcache"]["lanes"]
-    des = [l for l in lanes if any(l["cats"][c]["count"] > 0 for c in DES_CATS)]
-    if not des:
-        return 0, 0, 0
-    events = sum(l["cats"]["lp_execute"]["arg"] + l["cats"]["serial_fence"]["arg"]
-                 for l in des)
-    extent = max(l["last_ns"] for l in des) - min(l["first_ns"] for l in des)
-    return events, extent, len(des)
-
-
-def scaling_report(doc: dict, baseline: dict) -> None:
-    ev, ext, workers = des_throughput(doc)
-    bev, bext, bworkers = des_throughput(baseline)
-    if ext == 0 or bext == 0 or bworkers == 0:
-        print("\nscaling: baseline or profile has no DES activity; skipping")
-        return
-    rate = ev / (ext / 1e9)
-    brate = bev / (bext / 1e9)
-    speedup = rate / brate if brate else 0.0
-    # Per-worker efficiency: how much of the ideal linear speedup over the
-    # baseline's worker count this run achieved.
-    eff = speedup / (workers / bworkers) if workers else 0.0
-    print(f"\nScaling vs baseline ({bworkers} lane(s), {brate:,.0f} events/s)")
-    print(f"  this profile: {workers} lane(s), {rate:,.0f} events/s "
-          f"({rate / workers:,.0f} per lane)")
-    print(f"  speedup {speedup:.2f}x over baseline -> "
-          f"{100.0 * eff:.1f}% per-worker scaling efficiency")
-
-
 def report(doc: dict, min_attributed: float) -> int:
     nc = doc["netcache"]
     lanes = nc["lanes"]
@@ -213,14 +153,14 @@ def report(doc: dict, min_attributed: float) -> int:
         print(f"note: {dropped} timeline spans dropped (buffer full); "
               "aggregates below are still exact\n")
 
-    # A lane participates in DES attribution when it recorded any of the five
-    # scheduler buckets; a hypothetical switch-only thread would not.
+    # A lane participates in DES attribution when it recorded an execute
+    # span; a hypothetical stage-only thread would not.
     des_lanes = [l for l in lanes
                  if any(l["cats"][c]["count"] > 0 for c in DES_CATS)]
 
     print("Per-lane wall-clock attribution (extent = first span start .. last span end)")
-    hdr = (f"  {'lane':<6} {'extent_ms':>10} {'execute':>8} {'barrier':>8} "
-           f"{'merge':>8} {'fence':>8} {'coord':>8} {'other':>8} {'attributed':>11}")
+    hdr = (f"  {'lane':<6} {'extent_ms':>10} {'execute':>8} {'other':>8} "
+           f"{'attributed':>11}")
     print(hdr)
     total_extent = 0
     total_attr = 0
@@ -235,22 +175,18 @@ def report(doc: dict, min_attributed: float) -> int:
             total_extent += extent
             total_attr += attr
         print(f"  {lane['lane']:<6} {ms(extent):>10.1f} "
-              f"{pct(bucket_ns['lp_execute'], extent):>8} "
-              f"{pct(bucket_ns['barrier_wait'], extent):>8} "
-              f"{pct(bucket_ns['merge'], extent):>8} "
-              f"{pct(bucket_ns['serial_fence'], extent):>8} "
-              f"{pct(bucket_ns['coordinate'], extent):>8} "
+              f"{pct(bucket_ns['execute'], extent):>8} "
               f"{pct(other, extent):>8} "
               f"{pct(attr, extent) if in_des else '  (no DES)':>11}")
     overall = total_attr / total_extent if total_extent else 0.0
     print(f"  overall: {100.0 * overall:.1f}% of DES-lane wall-clock attributed "
-          f"to execute+barrier+merge+fence+coordinate ({len(des_lanes)} lane(s))")
+          f"to execute ({len(des_lanes)} lane(s))")
 
     # Switch Get pipeline: one span per stage per Get, nested inside
-    # lp_execute and reported as a breakdown of it.
+    # execute and reported as a breakdown of it.
     switch_total = sum(l["cats"][c]["ns"] for l in lanes for c in SWITCH_CATS)
     if switch_total > 0:
-        exec_total = sum(l["cats"]["lp_execute"]["ns"] for l in lanes)
+        exec_total = sum(l["cats"]["execute"]["ns"] for l in lanes)
         print("\nSwitch Get pipeline, per packet (nested inside execute; not an extra bucket)")
         print(f"  {'stage':<20} {'ms':>9} {'spans':>10} {'gets':>12} {'ns/get':>10}")
         for cat in SWITCH_CATS:
@@ -265,7 +201,7 @@ def report(doc: dict, min_attributed: float) -> int:
     # Server service + egress flush: same nesting as the switch stages.
     server_total = sum(l["cats"][c]["ns"] for l in lanes for c in SERVER_CATS)
     if server_total > 0:
-        exec_total = sum(l["cats"]["lp_execute"]["ns"] for l in lanes)
+        exec_total = sum(l["cats"]["execute"]["ns"] for l in lanes)
         print("\nServer & egress stages (nested inside execute; not an extra bucket)")
         print(f"  {'stage':<20} {'ms':>9} {'spans':>10} {'packets':>12} {'ns/packet':>10}")
         for cat in SERVER_CATS:
@@ -277,33 +213,6 @@ def report(doc: dict, min_attributed: float) -> int:
         print(f"  server/egress stages cover {pct(server_total, exec_total).strip()} "
               "of execute time")
 
-    lps = nc.get("lps", [])
-    if lps:
-        run_extent = max(l["last_ns"] for l in lanes) - min(l["first_ns"] for l in lanes)
-        print("\nPer-LP execution (busy% is exec time over the whole run's extent)")
-        print(f"  {'lp':<4} {'exec_ms':>9} {'windows':>9} {'events':>10} "
-              f"{'ev/window':>10} {'stalls':>9} {'busy':>6}")
-        for lp in lps:
-            evw = lp["events"] / lp["windows"] if lp["windows"] else 0.0
-            print(f"  {lp['lp']:<4} {ms(lp['exec_ns']):>9.1f} {lp['windows']:>9} "
-                  f"{lp['events']:>10} {evw:>10.2f} {lp['stall_windows']:>9} "
-                  f"{pct(lp['exec_ns'], run_extent):>6}")
-
-    bins = [0] * max(len(l["window_events_bins"]) for l in lanes)
-    for lane in lanes:
-        for k, b in enumerate(lane["window_events_bins"]):
-            bins[k] += b
-    total_windows = sum(bins)
-    if total_windows:
-        print("\nEvents per LP-window (all lanes; stalled windows execute nothing)")
-        width = 40
-        peak = max(bins)
-        for k, b in enumerate(bins):
-            if b == 0 and not any(bins[k:]):
-                break
-            bar = "#" * max(1 if b else 0, round(width * b / peak))
-            print(f"  {bin_label(k):>12} {b:>10} {pct(b, total_windows):>7}  {bar}")
-
     if min_attributed is not None and overall < min_attributed:
         print(f"\nprofile_report: FAIL: attributed fraction {overall:.3f} "
               f"< required {min_attributed:.3f}", file=sys.stderr)
@@ -313,16 +222,13 @@ def report(doc: dict, min_attributed: float) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(
-        description="Aggregate a netcache --profile-out trace into a "
-                    "stall-attribution report.")
+        description="Aggregate a netcache --profile-out trace into an "
+                    "attribution report.")
     ap.add_argument("profile", help="Chrome trace-event JSON from --profile-out")
     ap.add_argument("--validate", action="store_true",
                     help="structural validation only; exit 0/1 (for CI)")
     ap.add_argument("--min-attributed", type=float, default=None, metavar="F",
                     help="fail unless DES lanes' attributed fraction >= F")
-    ap.add_argument("--scaling-baseline", default=None, metavar="BASE.json",
-                    help="print events/s scaling efficiency vs this "
-                         "(typically 1-worker) baseline profile")
     args = ap.parse_args()
 
     doc = load(args.profile)
@@ -335,18 +241,9 @@ def main() -> int:
         nc = doc["netcache"]
         n_spans = sum(l["spans"] for l in nc["lanes"])
         print(f"OK: {n_spans} spans in {len(nc['lanes'])} lane(s), "
-              f"{len(nc.get('lps', []))} LPs, {nc.get('spans_dropped', 0)} dropped")
+              f"{nc.get('spans_dropped', 0)} dropped")
         return 0
-    rc = report(doc, args.min_attributed)
-    if args.scaling_baseline is not None:
-        base = load(args.scaling_baseline)
-        base_problems = validate(base)
-        if base_problems:
-            for p in base_problems:
-                print(f"profile_report: invalid baseline: {p}", file=sys.stderr)
-            return 1
-        scaling_report(doc, base)
-    return rc
+    return report(doc, args.min_attributed)
 
 
 if __name__ == "__main__":
